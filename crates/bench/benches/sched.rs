@@ -3,13 +3,8 @@
 //! Two views of the same question — what does one scheduling decision
 //! cost when thousands of dynamic jobs are queued?
 //!
-//! * `assign/*` — the schedulers alone, handed a synthetic complete view
-//!   of 1k / 10k runnable jobs: the linear FIFO/Fair dispatch loops
-//!   against their index-backed equivalents. On a complete view the win
-//!   shows for Fair (the linear share-sort loop re-scans every job per
-//!   slot); indexed FIFO pays a per-call order build here and collects
-//!   its payoff from the runtime's O(free slots) prefix views instead,
-//!   which `heartbeat/*` measures.
+//! * `assign/*` — the FIFO and Fair schedulers alone, handed a synthetic
+//!   complete view of 1k / 10k runnable jobs.
 //! * `heartbeat/*` — the whole runtime: one `MrRuntime::step()` with a
 //!   steady backlog of 1k / 10k queued sampling jobs (completed jobs are
 //!   resubmitted, so the backlog never drains). This is the number the
@@ -27,8 +22,8 @@ use incmr_core::{build_sampling_job, Policy, SampleMode};
 use incmr_data::{Dataset, DatasetSpec, SkewLevel};
 use incmr_dfs::{ClusterTopology, EvenRoundRobin, Namespace};
 use incmr_mapreduce::{
-    ClusterConfig, CostModel, FairScheduler, FifoScheduler, IndexedFairScheduler,
-    IndexedFifoScheduler, JobId, MrRuntime, ScanMode, SchedJob, SchedView, TaskId, TaskScheduler,
+    ClusterConfig, CostModel, FairScheduler, FifoScheduler, JobId, MrRuntime, ScanMode, SchedJob,
+    SchedView, TaskId, TaskScheduler,
 };
 use incmr_simkit::rng::DetRng;
 use incmr_simkit::SimTime;
@@ -77,16 +72,8 @@ fn bench_assign(c: &mut Criterion) {
                 Box::new(FifoScheduler::new()),
             ),
             (
-                format!("fifo_indexed_{jobs}"),
-                Box::new(IndexedFifoScheduler::new()),
-            ),
-            (
                 format!("fair_linear_{jobs}"),
                 Box::new(FairScheduler::paper_default()),
-            ),
-            (
-                format!("fair_indexed_{jobs}"),
-                Box::new(IndexedFairScheduler::paper_default()),
             ),
         ];
         for (name, scheduler) in &mut cases {

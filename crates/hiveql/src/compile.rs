@@ -229,6 +229,18 @@ impl CompiledQuery {
     }
 }
 
+/// The memo identity of a compiled plan (`mapred.job.signature`): a hash
+/// of the table and the named `parts` of the computation that determine
+/// its map output. Every plan kind sets one, so two queries share cached
+/// map output exactly when their table and parts agree; each kind names a
+/// distinct set of parts, so plans of different kinds never collide.
+fn plan_signature(table: &str, parts: &[(&str, &str)]) -> u64 {
+    incmr_mapreduce::signature_of_conf(
+        std::iter::once(("query.table", table)).chain(parts.iter().copied()),
+        1,
+    )
+}
+
 fn resolve_column(schema: &Schema, name: &str) -> Result<usize, CompileError> {
     schema
         .index_of(name)
@@ -416,9 +428,18 @@ pub fn compile_query(
 
         // Whole-table exact aggregation keeps the one-partial-per-split
         // shape (MIN/MAX supported).
+        let pred_rendered = predicate.display(&schema).to_string();
         if query.group_by.is_none() && query.error_bound.is_none() {
+            let signature = plan_signature(
+                &query.table,
+                &[
+                    ("query.predicate", &pred_rendered),
+                    ("query.aggs", &rendered),
+                ],
+            );
             let spec = JobSpec::builder()
                 .set(keys::JOB_NAME, format!("agg-{}", query.table))
+                .set(keys::JOB_SIGNATURE, signature)
                 .input(incmr_mapreduce::DatasetInputFormat::new(
                     Arc::clone(dataset),
                     scan_mode,
@@ -459,10 +480,20 @@ pub fn compile_query(
 
         // NOTE: no MATERIALIZE_CAP on any aggregate plan — the per-split
         // observation records ARE the result; a cap would drop them.
+        let group_rendered = query.group_by.clone().unwrap_or_default();
         match &query.error_bound {
             None => {
+                let signature = plan_signature(
+                    &query.table,
+                    &[
+                        ("query.predicate", &pred_rendered),
+                        ("query.group", &group_rendered),
+                        ("query.aggs", &rendered),
+                    ],
+                );
                 let conf = JobConf::new()
                     .with(keys::JOB_NAME, format!("groupagg-{}", query.table))
+                    .with(keys::JOB_SIGNATURE, signature)
                     .with(keys::AGG_FUNCS, encode_funcs(&funcs))
                     .with(keys::AGG_TOTAL_SPLITS, total);
                 let spec = JobSpec::builder()
@@ -487,23 +518,17 @@ pub fn compile_query(
                 })
             }
             Some(bound) => {
-                // Memo identity: the semantic computation — table,
-                // predicate, grouping, aggregate list, and the bound
-                // itself. Warm re-runs share cached per-split map output.
-                let pred_rendered = predicate.display(&schema).to_string();
+                // The bound is part of the identity: warm re-runs of the
+                // same bounded query share cached per-split map output.
                 let bound_rendered = format!("{}@{}", bound.error, bound.confidence);
-                let group_rendered = query.group_by.clone().unwrap_or_default();
-                let funcs_rendered = encode_funcs(&funcs);
-                let signature = incmr_mapreduce::signature_of_conf(
-                    [
-                        ("query.table", query.table.as_str()),
-                        ("query.predicate", pred_rendered.as_str()),
-                        ("query.group", group_rendered.as_str()),
-                        ("query.aggs", funcs_rendered.as_str()),
-                        ("query.bound", bound_rendered.as_str()),
-                    ]
-                    .into_iter(),
-                    1,
+                let signature = plan_signature(
+                    &query.table,
+                    &[
+                        ("query.predicate", &pred_rendered),
+                        ("query.group", &group_rendered),
+                        ("query.aggs", &rendered),
+                        ("query.bound", &bound_rendered),
+                    ],
                 );
                 let conf = JobConf::new()
                     .with(keys::JOB_NAME, format!("approx-{}", query.table))
@@ -577,14 +602,11 @@ fn compile_scan_or_sample(
     seed: u64,
 ) -> Result<CompiledQuery, CompileError> {
     let schema = dataset.factory().schema();
+    let pred_rendered = predicate.display(&schema).to_string();
+    let proj_rendered = format!("{projection:?}");
 
     match query.limit {
         Some(k) => {
-            // Memoization plane: a semantic signature over the query's
-            // computation — table, predicate, projection, k. Re-running
-            // the same query (however the submission-level conf varies)
-            // shares cached per-split map output under this identity.
-            let pred_rendered = predicate.display(&schema).to_string();
             let (mut spec, driver) = build_sampling_job_with(
                 dataset,
                 predicate,
@@ -595,17 +617,13 @@ fn compile_scan_or_sample(
                 sample_mode,
                 seed,
             );
-            let k_rendered = k.to_string();
-            let proj_rendered = format!("{projection:?}");
-            let signature = incmr_mapreduce::signature_of_conf(
-                [
-                    ("query.table", query.table.as_str()),
-                    ("query.predicate", pred_rendered.as_str()),
-                    ("query.projection", proj_rendered.as_str()),
-                    ("query.k", k_rendered.as_str()),
-                ]
-                .into_iter(),
-                1,
+            let signature = plan_signature(
+                &query.table,
+                &[
+                    ("query.predicate", &pred_rendered),
+                    ("query.projection", &proj_rendered),
+                    ("query.k", &k.to_string()),
+                ],
             );
             spec.conf.set(keys::JOB_SIGNATURE, signature);
             Ok(CompiledQuery {
@@ -621,8 +639,16 @@ fn compile_scan_or_sample(
         }
         None => {
             let materialize = matches!(scan_mode, ScanMode::Full | ScanMode::FullRows);
+            let signature = plan_signature(
+                &query.table,
+                &[
+                    ("query.predicate", &pred_rendered),
+                    ("query.projection", &proj_rendered),
+                ],
+            );
             let spec = JobSpec::builder()
                 .set(keys::JOB_NAME, format!("scan-{}", query.table))
+                .set(keys::JOB_SIGNATURE, signature)
                 .input(incmr_mapreduce::DatasetInputFormat::new(
                     Arc::clone(dataset),
                     scan_mode,

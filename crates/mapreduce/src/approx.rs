@@ -106,24 +106,33 @@ pub fn encode_group_part(n: u64, sums: &[f64]) -> Record {
     Record::new(values)
 }
 
-/// Decode a map-output record produced by [`encode_group_part`]. Returns
-/// `None` when the record does not carry `1 + n_aggs` fields of the
-/// expected types (a foreign record — the caller skips it).
-pub fn decode_group_part(group: &Key, record: &Record, n_aggs: usize) -> Option<SplitAggPart> {
+/// A map-output record that is not an [`encode_group_part`] record for the
+/// job's aggregate list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MalformedPart;
+
+/// Decode a map-output record produced by [`encode_group_part`]. Fails
+/// when the record does not carry `1 + n_aggs` fields of the expected
+/// types.
+pub fn decode_group_part(
+    group: &Key,
+    record: &Record,
+    n_aggs: usize,
+) -> Result<SplitAggPart, MalformedPart> {
     if record.arity() != 1 + n_aggs {
-        return None;
+        return Err(MalformedPart);
     }
     let Value::Int(n) = record.get(0) else {
-        return None;
+        return Err(MalformedPart);
     };
     let mut sums = Vec::with_capacity(n_aggs);
     for j in 0..n_aggs {
         let Value::Float(s) = record.get(1 + j) else {
-            return None;
+            return Err(MalformedPart);
         };
         sums.push(*s);
     }
-    Some(SplitAggPart {
+    Ok(SplitAggPart {
         group: Key::clone(group),
         n: *n as u64,
         sums,
@@ -556,7 +565,10 @@ mod tests {
         let back = decode_group_part(&Key::from("g"), &rec, 2).unwrap();
         assert_eq!(back.n, 7);
         assert_eq!(back.sums, vec![1.5, -2.0]);
-        assert!(decode_group_part(&Key::from("g"), &rec, 3).is_none());
+        assert_eq!(
+            decode_group_part(&Key::from("g"), &rec, 3),
+            Err(MalformedPart)
+        );
     }
 
     #[test]

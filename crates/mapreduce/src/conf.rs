@@ -41,13 +41,6 @@ pub mod keys {
     /// Guard-rail plane: boolean — on deadline expiry, finish with the
     /// output gathered so far instead of failing the job.
     pub const ALLOW_PARTIAL: &str = "mapred.job.allow.partial";
-    /// Observability plane: trace sink the runtime should enable at
-    /// submission — `"memory"` (buffered [`TraceEvent`]s, the
-    /// `enable_tracing` behaviour) or `"jsonl"` (eager JSONL encoding).
-    /// Absent means tracing stays as the caller configured it.
-    ///
-    /// [`TraceEvent`]: crate::trace::TraceEvent
-    pub const TRACE_SINK: &str = "mapred.job.trace.sink";
     /// Memoization plane: stable identity of the job's *computation*
     /// (mapper, predicate, projection, `k` — not the submission). Jobs
     /// sharing a signature share memoized per-split map output. Absent,

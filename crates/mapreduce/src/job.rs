@@ -188,15 +188,6 @@ impl JobSpecBuilder {
         self
     }
 
-    /// Trace sink to enable at submission: `"memory"` (buffered events,
-    /// the `enable_tracing` behaviour) or `"jsonl"` (eager JSONL text).
-    /// Any other value is rejected at build/submit time (sets
-    /// [`keys::TRACE_SINK`]).
-    pub fn trace_sink(mut self, sink: &str) -> Self {
-        self.conf.set(keys::TRACE_SINK, sink);
-        self
-    }
-
     /// Whether this job's latencies feed the runtime's histogram
     /// `MetricsRegistry` (default true; sets [`keys::HISTOGRAM_ENABLED`]).
     pub fn histograms(mut self, enabled: bool) -> Self {
@@ -248,15 +239,6 @@ impl JobSpecBuilder {
             .map_err(JobConfigError::BadConf)?;
         if deadline == 0 {
             return Err(JobConfigError::ZeroDeadline);
-        }
-        if let Some(sink) = self.conf.get(keys::TRACE_SINK) {
-            if sink != "memory" && sink != "jsonl" {
-                return Err(JobConfigError::BadConf(crate::conf::ConfError {
-                    key: keys::TRACE_SINK.to_string(),
-                    value: sink.to_string(),
-                    wanted: "trace sink (\"memory\" or \"jsonl\")",
-                }));
-            }
         }
         if let Some(v) = self.conf.get(keys::DFS_REPLICATION) {
             if !matches!(v.parse::<u8>(), Ok(r) if r > 0) {
@@ -422,6 +404,14 @@ pub enum JobError {
         /// The unreadable blocks, in ascending id order.
         blocks: Vec<BlockId>,
     },
+    /// A map task of an estimating aggregate job emitted a record that is
+    /// not a well-formed accumulator part (see
+    /// [`decode_group_part`](crate::approx::decode_group_part)), so the
+    /// error bound could not be evaluated over its split.
+    MalformedAggPart {
+        /// The map task whose output did not decode.
+        task: TaskId,
+    },
 }
 
 impl fmt::Display for JobError {
@@ -441,6 +431,9 @@ impl fmt::Display for JobError {
             JobError::AllNodesBlacklisted => write!(f, "every node is blacklisted for this job"),
             JobError::InputLost { blocks } => {
                 write!(f, "{} input block(s) lost every replica", blocks.len())
+            }
+            JobError::MalformedAggPart { task } => {
+                write!(f, "map task {task} emitted a malformed accumulator part")
             }
         }
     }

@@ -59,7 +59,7 @@ pub mod trace;
 pub use approx::{
     agg_plan_of, decode_funcs, decode_group_part, encode_funcs, encode_group_part, evaluate_bound,
     fold_parts, z_quantile, AggKind, AggOutcome, AggPlan, AggProbe, AggReport, BoundEval,
-    GroupAccum, SplitAggPart, DEFAULT_AGG_ROUNDS,
+    GroupAccum, MalformedPart, SplitAggPart, DEFAULT_AGG_ROUNDS,
 };
 pub use cluster::{ClusterConfig, ClusterStatus, Parallelism};
 pub use conf::{keys, JobConf};
@@ -83,16 +83,15 @@ pub use metrics::{
 };
 pub use obs::{
     audited_splits_added, encode_event, encode_trace, kind_name, parse_event, parse_trace,
-    render_audit, render_swimlanes, AuditDirective, AuditRecord, JsonlSink, MemorySink,
-    MetricsRegistry, TraceParseError, TraceSink,
+    render_audit, render_swimlanes, AuditDirective, AuditRecord, MetricsRegistry, TraceParseError,
 };
 pub use parallel::{
     MapTaskResult, MapUnit, ParallelExecutor, ReduceTaskResult, ReduceUnit, UnitHandle, WorkUnit,
 };
 pub use runtime::{FaultPlan, MrRuntime, DEFAULT_MAX_IDLE_EVALUATIONS, MATERIALIZE_CAP_KEY};
 pub use scheduler::{
-    Assignment, Claims, FairScheduler, FifoScheduler, IndexedFairScheduler, IndexedFifoScheduler,
-    SchedJob, SchedView, TaskScheduler, ViewPolicy,
+    Assignment, Claims, FairScheduler, FifoScheduler, SchedJob, SchedView, TaskScheduler,
+    ViewPolicy,
 };
 pub use shuffle::{fnv1a, partition_of, PartitionBuffer, PartitionedPairs, ShuffleState, ValueSeq};
 pub use trace::{job_timeline, render_timeline, JobTimeline, TraceEvent, TraceKind};
@@ -111,7 +110,7 @@ pub mod prelude {
         EvalContext, GrowthDirective, GrowthDriver, GrowthOutcome, JobError, JobId, JobProgress,
         JobResult, JobSpec, ProviderError, ProviderStage, StaticDriver, TaskId,
     };
-    pub use crate::obs::{AuditRecord, MetricsRegistry, TraceSink};
+    pub use crate::obs::{AuditRecord, MetricsRegistry};
     pub use crate::runtime::MrRuntime;
     pub use crate::scheduler::{FairScheduler, FifoScheduler, TaskScheduler};
 }

@@ -75,24 +75,14 @@ pub struct FaultMetrics {
 }
 
 impl FaultMetrics {
-    /// Recompute the trace-derivable counters from an exported trace. The
-    /// counters with no dedicated trace event (`maps_reexecuted`,
-    /// `speculative_wasted`, `attempts_killed` — reduce attempts killed by
-    /// node death release no `AttemptKilled` event) stay zero; compare
-    /// against [`FaultMetrics::derivable`] of the live counters.
+    /// Recompute the trace-backed counters from an exported trace by
+    /// folding it through [`ClusterMetrics::count`]. The counters with no
+    /// dedicated trace event (`maps_reexecuted`, `speculative_wasted`,
+    /// `attempts_killed` — reduce attempts killed by node death release no
+    /// `AttemptKilled` event) stay zero; compare against
+    /// [`FaultMetrics::derivable`] of the live counters.
     pub fn from_trace(events: &[TraceEvent]) -> FaultMetrics {
-        let mut m = FaultMetrics::default();
-        for e in events {
-            match e.kind {
-                TraceKind::NodeLost { .. } => m.nodes_lost += 1,
-                TraceKind::NodeRejoined { .. } => m.nodes_rejoined += 1,
-                TraceKind::SpeculativeLaunch { .. } => m.speculative_launched += 1,
-                TraceKind::ReduceFailed { .. } => m.reduce_failures += 1,
-                TraceKind::NodeBlacklisted { .. } => m.nodes_blacklisted += 1,
-                _ => {}
-            }
-        }
-        m
+        ClusterMetrics::from_trace(events).faults
     }
 
     /// This counter set restricted to the fields [`FaultMetrics::from_trace`]
@@ -141,31 +131,13 @@ pub struct GuardrailMetrics {
 }
 
 impl GuardrailMetrics {
-    /// Recompute the trace-derivable counters from an exported trace.
-    /// `provider_panics` and `unknown_blocks` have no dedicated trace
-    /// event (both surface as `ProviderFault`) and stay zero; compare
-    /// against [`GuardrailMetrics::derivable`] of the live counters.
+    /// Recompute the trace-backed counters from an exported trace by
+    /// folding it through [`ClusterMetrics::count`]. `provider_panics` and
+    /// `unknown_blocks` have no dedicated trace event (both surface as
+    /// `ProviderFault`) and stay zero; compare against
+    /// [`GuardrailMetrics::derivable`] of the live counters.
     pub fn from_trace(events: &[TraceEvent]) -> GuardrailMetrics {
-        let mut m = GuardrailMetrics::default();
-        for e in events {
-            match e.kind {
-                TraceKind::ProviderFault { fatal, .. } => {
-                    m.provider_errors += 1;
-                    if !fatal {
-                        m.provider_retries += 1;
-                    }
-                }
-                TraceKind::DuplicateInputDropped { splits, .. } => {
-                    m.duplicate_splits_dropped += splits as u64
-                }
-                TraceKind::GrabLimitClamped { .. } => m.grab_limit_clamps += 1,
-                TraceKind::JobWedged { .. } => m.jobs_wedged += 1,
-                TraceKind::DeadlineExceeded { .. } => m.deadlines_exceeded += 1,
-                TraceKind::PartialSample { .. } => m.partial_samples += 1,
-                _ => {}
-            }
-        }
-        m
+        ClusterMetrics::from_trace(events).guardrails
     }
 
     /// This counter set restricted to the fields
@@ -211,22 +183,14 @@ pub struct MemoMetrics {
 }
 
 impl MemoMetrics {
-    /// Recompute the trace-derivable counters from an exported trace.
-    /// `splits_computed` and `entries_invalidated` have no dedicated
-    /// trace event (computation is visible only as the *absence* of
-    /// `SplitReused` on a finished map) and stay zero; compare against
-    /// [`MemoMetrics::derivable`] of the live counters.
+    /// Recompute the trace-backed counters from an exported trace by
+    /// folding it through [`ClusterMetrics::count`]. `splits_computed` and
+    /// `entries_invalidated` have no dedicated trace event (computation is
+    /// visible only as the *absence* of `SplitReused` on a finished map)
+    /// and stay zero; compare against [`MemoMetrics::derivable`] of the
+    /// live counters.
     pub fn from_trace(events: &[TraceEvent]) -> MemoMetrics {
-        let mut m = MemoMetrics::default();
-        for e in events {
-            match e.kind {
-                TraceKind::SplitReused { .. } => m.splits_reused += 1,
-                TraceKind::SplitDirty { .. } => m.splits_dirty += 1,
-                TraceKind::InputArrived { .. } => m.input_arrivals += 1,
-                _ => {}
-            }
-        }
-        m
+        ClusterMetrics::from_trace(events).memo
     }
 
     /// This counter set restricted to the fields [`MemoMetrics::from_trace`]
@@ -272,22 +236,13 @@ pub struct ReplicaMetrics {
 }
 
 impl ReplicaMetrics {
-    /// Recompute the trace-derivable counters from an exported trace.
-    /// `blocks_lost`, `reexecutions_avoided`, and `memo_rehomed` have no
-    /// dedicated trace event and stay zero; compare against
-    /// [`ReplicaMetrics::derivable`] of the live counters.
+    /// Recompute the trace-backed counters from an exported trace by
+    /// folding it through [`ClusterMetrics::count`]. `blocks_lost`,
+    /// `reexecutions_avoided`, and `memo_rehomed` have no dedicated trace
+    /// event and stay zero; compare against [`ReplicaMetrics::derivable`]
+    /// of the live counters.
     pub fn from_trace(events: &[TraceEvent]) -> ReplicaMetrics {
-        let mut m = ReplicaMetrics::default();
-        for e in events {
-            match e.kind {
-                TraceKind::ReplicaLost { .. } => m.replicas_lost += 1,
-                TraceKind::ReplicaRestored { .. } => m.replicas_restored += 1,
-                TraceKind::ReadFailover { .. } => m.read_failovers += 1,
-                TraceKind::InputLost { .. } => m.input_lost_jobs += 1,
-                _ => {}
-            }
-        }
-        m
+        ClusterMetrics::from_trace(events).replica
     }
 
     /// This counter set restricted to the fields
@@ -456,9 +411,57 @@ impl ClusterMetrics {
         self.host
     }
 
-    /// Mutable fault-plane counters (the runtime bumps these as the fault
-    /// state machine fires).
-    pub fn faults_mut(&mut self) -> &mut FaultMetrics {
+    /// Tally one trace event into the counter it backs. This is the only
+    /// writer of the event-backed counter fields: the runtime passes every
+    /// event it records through here, and each `from_trace` folds an
+    /// exported trace through it, so live and recomputed counters agree by
+    /// construction.
+    pub fn count(&mut self, kind: &TraceKind) {
+        let (f, g) = (&mut self.faults, &mut self.guardrails);
+        let (m, r) = (&mut self.memo, &mut self.replica);
+        match *kind {
+            TraceKind::NodeLost { .. } => f.nodes_lost += 1,
+            TraceKind::NodeRejoined { .. } => f.nodes_rejoined += 1,
+            TraceKind::SpeculativeLaunch { .. } => f.speculative_launched += 1,
+            TraceKind::ReduceFailed { .. } => f.reduce_failures += 1,
+            TraceKind::NodeBlacklisted { .. } => f.nodes_blacklisted += 1,
+            TraceKind::ProviderFault { fatal, .. } => {
+                g.provider_errors += 1;
+                if !fatal {
+                    g.provider_retries += 1;
+                }
+            }
+            TraceKind::DuplicateInputDropped { splits, .. } => {
+                g.duplicate_splits_dropped += splits as u64
+            }
+            TraceKind::GrabLimitClamped { .. } => g.grab_limit_clamps += 1,
+            TraceKind::JobWedged { .. } => g.jobs_wedged += 1,
+            TraceKind::DeadlineExceeded { .. } => g.deadlines_exceeded += 1,
+            TraceKind::PartialSample { .. } => g.partial_samples += 1,
+            TraceKind::SplitReused { .. } => m.splits_reused += 1,
+            TraceKind::SplitDirty { .. } => m.splits_dirty += 1,
+            TraceKind::InputArrived { .. } => m.input_arrivals += 1,
+            TraceKind::ReplicaLost { .. } => r.replicas_lost += 1,
+            TraceKind::ReplicaRestored { .. } => r.replicas_restored += 1,
+            TraceKind::ReadFailover { .. } => r.read_failovers += 1,
+            TraceKind::InputLost { .. } => r.input_lost_jobs += 1,
+            _ => {}
+        }
+    }
+
+    /// A fresh collector with `events` folded through
+    /// [`ClusterMetrics::count`].
+    fn from_trace(events: &[TraceEvent]) -> ClusterMetrics {
+        let mut m = ClusterMetrics::new(SimTime::ZERO, 0, 0, 0, SimDuration::from_secs(30));
+        for e in events {
+            m.count(&e.kind);
+        }
+        m
+    }
+
+    /// Mutable fault-plane counters, for the fields with no trace event
+    /// (the rest are written only by [`ClusterMetrics::count`]).
+    pub(crate) fn faults_mut(&mut self) -> &mut FaultMetrics {
         &mut self.faults
     }
 
@@ -467,9 +470,8 @@ impl ClusterMetrics {
         self.faults
     }
 
-    /// Mutable guard-rail counters (the runtime bumps these as provider
-    /// sandboxing, directive validation, watchdogs, and deadlines fire).
-    pub fn guardrails_mut(&mut self) -> &mut GuardrailMetrics {
+    /// Mutable guard-rail counters, for the fields with no trace event.
+    pub(crate) fn guardrails_mut(&mut self) -> &mut GuardrailMetrics {
         &mut self.guardrails
     }
 
@@ -478,9 +480,8 @@ impl ClusterMetrics {
         self.guardrails
     }
 
-    /// Mutable memoization counters (the runtime bumps these as the memo
-    /// store classifies splits).
-    pub fn memo_mut(&mut self) -> &mut MemoMetrics {
+    /// Mutable memoization counters, for the fields with no trace event.
+    pub(crate) fn memo_mut(&mut self) -> &mut MemoMetrics {
         &mut self.memo
     }
 
@@ -489,9 +490,9 @@ impl ClusterMetrics {
         self.memo
     }
 
-    /// Mutable replication-plane counters (the runtime bumps these as
-    /// replicas are lost, reads fail over, and repairs land).
-    pub fn replica_mut(&mut self) -> &mut ReplicaMetrics {
+    /// Mutable replication-plane counters, for the fields with no trace
+    /// event.
+    pub(crate) fn replica_mut(&mut self) -> &mut ReplicaMetrics {
         &mut self.replica
     }
 
@@ -600,7 +601,9 @@ mod tests {
     fn fault_counters_accumulate() {
         let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
         assert_eq!(m.faults(), FaultMetrics::default());
-        m.faults_mut().nodes_lost += 1;
+        m.count(&TraceKind::NodeLost {
+            node: incmr_dfs::NodeId(0),
+        });
         m.faults_mut().maps_reexecuted += 3;
         m.faults_mut().attempts_killed += 2;
         let f = m.faults();
@@ -615,14 +618,22 @@ mod tests {
         let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
         assert_eq!(m.guardrails(), GuardrailMetrics::default());
         m.guardrails_mut().provider_panics += 1;
-        m.guardrails_mut().provider_errors += 2;
-        m.guardrails_mut().duplicate_splits_dropped += 5;
-        m.guardrails_mut().partial_samples += 1;
+        let job = crate::job::JobId(0);
+        for fatal in [false, true] {
+            m.count(&TraceKind::ProviderFault { job, fatal });
+        }
+        m.count(&TraceKind::DuplicateInputDropped { job, splits: 5 });
+        m.count(&TraceKind::PartialSample {
+            job,
+            found: 1,
+            requested: 2,
+        });
         let g = m.guardrails();
         assert_eq!(g.provider_panics, 1);
         assert_eq!(g.provider_errors, 2);
         assert_eq!(g.duplicate_splits_dropped, 5);
         assert_eq!(g.partial_samples, 1);
+        assert_eq!(g.provider_retries, 1);
         assert_eq!(g.jobs_wedged, 0);
     }
 
@@ -702,7 +713,12 @@ mod tests {
         use crate::job::{JobId, TaskId};
         let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
         assert_eq!(m.memo(), MemoMetrics::default());
-        m.memo_mut().splits_reused += 2;
+        for task in [TaskId(0), TaskId(1)] {
+            m.count(&TraceKind::SplitReused {
+                job: JobId(0),
+                task,
+            });
+        }
         m.memo_mut().records_saved += 500;
         assert_eq!(m.memo().splits_reused, 2);
         assert_eq!(m.memo().records_saved, 500);
@@ -752,7 +768,12 @@ mod tests {
         use incmr_dfs::{BlockId, DiskId, NodeId};
         let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
         assert_eq!(m.replica(), ReplicaMetrics::default());
-        m.replica_mut().replicas_lost += 2;
+        for block in [BlockId(0), BlockId(1)] {
+            m.count(&TraceKind::ReplicaLost {
+                block,
+                node: NodeId(1),
+            });
+        }
         m.replica_mut().reexecutions_avoided += 1;
         assert_eq!(m.replica().replicas_lost, 2);
         assert_eq!(m.replica().reexecutions_avoided, 1);

@@ -69,7 +69,7 @@ use crate::job::{
 };
 use crate::memo::{signature_of_conf, MemoProbe, MemoStore};
 use crate::metrics::ClusterMetrics;
-use crate::obs::{AuditDirective, AuditRecord, JsonlSink, MetricsRegistry, TraceSink};
+use crate::obs::{AuditDirective, AuditRecord, MetricsRegistry};
 use crate::parallel::{
     MapTaskResult, MapUnit, ParallelExecutor, ReduceTaskResult, ReduceUnit, UnitHandle,
 };
@@ -435,9 +435,6 @@ pub struct MrRuntime {
     faults: Option<(FaultPlan, DetRng)>,
     cluster_faults: Option<ClusterFaultState>,
     trace: Option<Vec<TraceEvent>>,
-    /// Structured trace export (see [`crate::obs`]): every recorded event
-    /// is forwarded here in addition to the legacy `trace` buffer.
-    sink: Option<Box<dyn TraceSink>>,
     /// Cluster-wide latency histograms, merged across all opted-in jobs.
     obs_registry: MetricsRegistry,
     /// Provider-decision audit log, recording every driver consultation
@@ -530,7 +527,6 @@ impl MrRuntime {
             faults: None,
             cluster_faults: None,
             trace: None,
-            sink: None,
             obs_registry: MetricsRegistry::new(),
             audit: None,
             executor: ParallelExecutor::new(cfg.parallelism),
@@ -611,23 +607,6 @@ impl MrRuntime {
         }
     }
 
-    /// Install a structured [`TraceSink`]: every trace event is forwarded
-    /// to it (in addition to the legacy buffer, if tracing is on),
-    /// replacing any previously installed sink.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// The installed trace sink, for draining mid-run.
-    pub fn trace_sink_mut(&mut self) -> Option<&mut (dyn TraceSink + 'static)> {
-        self.sink.as_deref_mut()
-    }
-
-    /// Remove and return the installed trace sink.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
-    }
-
     /// Start recording the provider-decision audit log (see
     /// [`crate::obs::AuditRecord`]). Only consultations after this call
     /// are audited, so enable it before submitting the jobs of interest.
@@ -662,23 +641,22 @@ impl MrRuntime {
 
     /// Record a trace event on behalf of an embedding layer (a query
     /// service front end, a workload harness): the event lands in the
-    /// runtime's trace buffer and structured sink exactly like the
-    /// runtime's own, so admission decisions interleave with task events
-    /// in one timeline.
+    /// runtime's trace buffer exactly like the runtime's own, so admission
+    /// decisions interleave with task events in one timeline.
     pub fn record_event(&mut self, kind: TraceKind) {
         self.record(kind);
     }
 
+    /// Every event passes through [`ClusterMetrics::count`], the only
+    /// writer of the trace-backed counters, so those counters agree with
+    /// the trace by construction.
     fn record(&mut self, kind: TraceKind) {
-        let time = self.sim.now();
-        if let Some(sink) = &mut self.sink {
-            sink.record(&TraceEvent {
-                time,
-                kind: kind.clone(),
-            });
-        }
+        self.metrics.count(&kind);
         if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent { time, kind });
+            trace.push(TraceEvent {
+                time: self.sim.now(),
+                kind,
+            });
         }
     }
 
@@ -789,7 +767,6 @@ impl MrRuntime {
             self.record(TraceKind::InputArrived {
                 splits: arrived.len() as u32,
             });
-            self.metrics.memo_mut().input_arrivals += 1;
             let ids: Vec<JobId> = self
                 .jobs
                 .iter()
@@ -917,24 +894,7 @@ impl MrRuntime {
             }
         }
         let allow_partial = spec.conf.get_bool(keys::ALLOW_PARTIAL);
-        // Observability knobs: the trace-sink request is honoured before
-        // the job exists (a bad value must reject the submission cleanly),
-        // and histograms default to enabled.
-        match spec.conf.get(keys::TRACE_SINK) {
-            None => {}
-            Some("memory") => self.enable_tracing(),
-            Some("jsonl") if self.sink.is_none() => {
-                self.sink = Some(Box::new(JsonlSink::new()));
-            }
-            Some("jsonl") => {} // a sink is already installed; keep it
-            Some(other) => {
-                return Err(JobConfigError::BadConf(ConfError {
-                    key: keys::TRACE_SINK.to_string(),
-                    value: other.to_string(),
-                    wanted: "trace sink (\"memory\" or \"jsonl\")",
-                }))
-            }
-        }
+        // Histograms default to enabled.
         let hist_enabled = spec
             .conf
             .get(keys::HISTOGRAM_ENABLED)
@@ -1377,7 +1337,6 @@ impl MrRuntime {
         // query; leaving the parked state here keeps the counter exact.
         self.unpark(id);
         let graceful = self.job(id).allow_partial;
-        self.metrics.guardrails_mut().deadlines_exceeded += 1;
         self.record(TraceKind::DeadlineExceeded { job: id, graceful });
         if !graceful {
             self.fail_job(id, JobError::DeadlineExceeded);
@@ -1491,7 +1450,6 @@ impl MrRuntime {
             let requested = blocks.len() as u32;
             blocks.truncate(limit as usize);
             clamped = true;
-            self.metrics.guardrails_mut().grab_limit_clamps += 1;
             self.record(TraceKind::GrabLimitClamped {
                 job: id,
                 requested,
@@ -1509,7 +1467,6 @@ impl MrRuntime {
         };
         let dupes = (blocks.len() - fresh.len()) as u32;
         if dupes > 0 {
-            self.metrics.guardrails_mut().duplicate_splits_dropped += dupes as u64;
             self.record(TraceKind::DuplicateInputDropped {
                 job: id,
                 splits: dupes,
@@ -1528,14 +1485,11 @@ impl MrRuntime {
     /// evaluation is treated as a `Wait` and the provider is re-consulted
     /// at the next tick; otherwise the job fails with the typed error.
     fn provider_failed(&mut self, id: JobId, err: ProviderError) {
-        let g = self.metrics.guardrails_mut();
-        g.provider_errors += 1;
         if matches!(err, ProviderError::Panicked { .. }) {
-            g.provider_panics += 1;
+            self.metrics.guardrails_mut().provider_panics += 1;
         }
         if self.job(id).provider_retries_left > 0 {
             self.job_mut(id).provider_retries_left -= 1;
-            self.metrics.guardrails_mut().provider_retries += 1;
             self.record(TraceKind::ProviderFault {
                 job: id,
                 fatal: false,
@@ -1791,7 +1745,6 @@ impl MrRuntime {
                 job: id,
                 idle_evaluations: idle,
             });
-            self.metrics.guardrails_mut().jobs_wedged += 1;
             self.fail_job(
                 id,
                 JobError::Wedged {
@@ -2011,9 +1964,7 @@ impl MrRuntime {
                         job: a.job,
                         task: a.task,
                     });
-                    let memo = self.metrics.memo_mut();
-                    memo.splits_reused += 1;
-                    memo.records_saved += result.records_read;
+                    self.metrics.memo_mut().records_saved += result.records_read;
                     MapWork::Cached(result)
                 }
                 probe => {
@@ -2022,7 +1973,6 @@ impl MrRuntime {
                             job: a.job,
                             task: a.task,
                         });
-                        self.metrics.memo_mut().splits_dirty += 1;
                     }
                     if self.memo.is_some() {
                         self.metrics.memo_mut().splits_computed += 1;
@@ -2183,7 +2133,6 @@ impl MrRuntime {
                                 from,
                                 to,
                             });
-                            self.metrics.replica_mut().read_failovers += 1;
                         }
                         to
                     }
@@ -2398,6 +2347,26 @@ impl MrRuntime {
                 }
                 MapWork::Cached(result) => (result, true),
             };
+            // Approximate-aggregation plane: lift the task's per-group
+            // accumulator parts before the shuffle consumes the pairs.
+            // Keyed by task id, so the fold is a pure function of the
+            // completed task set — identical across thread counts and
+            // fault schedules. An empty entry still counts the split as a
+            // zero observation for every group. A pair that is not a part
+            // fails the job before it is memoized: dropping it would bias
+            // the estimate while the bound still reported success.
+            if let Some(n_aggs) = self.job(id).agg_plan.as_ref().map(|p| p.funcs.len()) {
+                let parts: Result<Vec<SplitAggPart>, _> = result
+                    .pairs
+                    .iter_pairs()
+                    .map(|(k, r)| decode_group_part(k, r, n_aggs))
+                    .collect();
+                let Ok(parts) = parts else {
+                    self.fail_job(id, JobError::MalformedAggPart { task });
+                    return;
+                };
+                self.job_mut(id).agg_parts.insert(task.0, parts);
+            }
             if let Some(memo) = &mut self.memo {
                 let job = &self.jobs[id.0 as usize];
                 let block = job.tasks[task.0 as usize].block;
@@ -2414,20 +2383,6 @@ impl MrRuntime {
                         result.clone(),
                     );
                 }
-            }
-            // Approximate-aggregation plane: lift the task's per-group
-            // accumulator parts before the shuffle consumes the pairs.
-            // Keyed by task id, so the fold is a pure function of the
-            // completed task set — identical across thread counts and
-            // fault schedules. An empty entry still counts the split as a
-            // zero observation for every group.
-            if let Some(n_aggs) = self.job(id).agg_plan.as_ref().map(|p| p.funcs.len()) {
-                let parts: Vec<SplitAggPart> = result
-                    .pairs
-                    .iter_pairs()
-                    .filter_map(|(k, r)| decode_group_part(k, r, n_aggs))
-                    .collect();
-                self.job_mut(id).agg_parts.insert(task.0, parts);
             }
             let merge_start = std::time::Instant::now();
             {
@@ -2507,7 +2462,6 @@ impl MrRuntime {
                 trip
             };
             if newly_banned {
-                self.metrics.faults_mut().nodes_blacklisted += 1;
                 self.record(TraceKind::NodeBlacklisted {
                     job: id,
                     node: a.node,
@@ -2610,7 +2564,6 @@ impl MrRuntime {
         }
         self.nodes[node as usize].alive = false;
         self.record(TraceKind::NodeLost { node: NodeId(node) });
-        self.metrics.faults_mut().nodes_lost += 1;
         // DataNode-death semantics: the node's replicas die with it. Strip
         // them from the namespace (keeping `locations` the live set), tally
         // blocks now under-replicated or gone, and arm the repair daemon.
@@ -2622,7 +2575,6 @@ impl MrRuntime {
                     block,
                     node: NodeId(node),
                 });
-                self.metrics.replica_mut().replicas_lost += 1;
                 let b = self.namespace.block(block);
                 if b.locations.is_empty() {
                     self.metrics.replica_mut().blocks_lost += 1;
@@ -2764,7 +2716,6 @@ impl MrRuntime {
         n.free_slots = self.cfg.map_slots_per_node;
         n.free_reduce_slots = self.cfg.reduce_slots_per_node;
         self.record(TraceKind::NodeRejoined { node: NodeId(node) });
-        self.metrics.faults_mut().nodes_rejoined += 1;
         // A rejoined DataNode comes back empty but is a fresh placement
         // candidate for blocks the repair daemon previously had no home
         // for (e.g. replication target > alive nodes).
@@ -2825,7 +2776,6 @@ impl MrRuntime {
                 .expect("node has at least one disk");
             self.namespace.add_replica(block, disk);
             self.record(TraceKind::ReplicaRestored { block, node });
-            self.metrics.replica_mut().replicas_restored += 1;
             if self.namespace.block(block).locations.len() as u8 >= target {
                 self.under_replicated.remove(&block);
             }
@@ -2900,7 +2850,6 @@ impl MrRuntime {
             }
         }
         let graceful = self.job(id).allow_partial;
-        self.metrics.replica_mut().input_lost_jobs += 1;
         self.record(TraceKind::InputLost {
             job: id,
             blocks: blocks.len() as u32,
@@ -2994,7 +2943,6 @@ impl MrRuntime {
             task,
             node: NodeId(node),
         });
-        self.metrics.faults_mut().speculative_launched += 1;
         self.dispatch(id, task, NodeId(node), MapWork::Computed(handle), true);
     }
 
@@ -3235,7 +3183,6 @@ impl MrRuntime {
                     reduce: r,
                     attempt: attempts,
                 });
-                self.metrics.faults_mut().reduce_failures += 1;
                 if attempts >= max {
                     self.fail_job(id, JobError::ReduceAttemptsExhausted { reduce: r });
                 } else {
@@ -3339,7 +3286,6 @@ impl MrRuntime {
             agg,
         });
         if let Some((found, requested)) = partial {
-            self.metrics.guardrails_mut().partial_samples += 1;
             self.record(TraceKind::PartialSample {
                 job: id,
                 found,

@@ -320,3 +320,51 @@ fn sample_outcome_classifies_full_partial_failed_and_non_sampling() {
     assert!(!rt.job_result(id).failed);
     assert_eq!(sample_outcome(&conf, rt.job_result(id)), None);
 }
+
+// ---------------------------------------------------------------------------
+// Malformed accumulator parts
+// ---------------------------------------------------------------------------
+
+/// A mapper that emits one record per split that is not an accumulator
+/// part: one string field where `[Int n, Float sum…]` is expected.
+struct NotAPartMapper;
+
+impl incmr::mapreduce::Mapper for NotAPartMapper {
+    fn run(&self, data: incmr::mapreduce::SplitData) -> incmr::mapreduce::MapResult {
+        incmr::mapreduce::MapResult {
+            pairs: vec![(Key::from("g"), Record::new(vec![Value::Str("x".into())]))],
+            records_read: data.total_records(),
+            ..Default::default()
+        }
+    }
+}
+
+/// An estimating job whose mapper emits something other than accumulator
+/// parts fails with a typed error instead of dropping the pairs and
+/// reporting a bound over what remains.
+#[test]
+fn a_malformed_accumulator_part_fails_the_estimating_job() {
+    let (mut rt, ds) = world(1, 4, 500);
+    let blocks: Vec<BlockId> = ds.splits().iter().map(|p| p.block).collect();
+    let spec = JobSpec::builder()
+        .error_bound(0.1, 0.9)
+        .set(keys::AGG_FUNCS, "count")
+        .set(keys::AGG_TOTAL_SPLITS, blocks.len() as u64)
+        .input(incmr::mapreduce::DatasetInputFormat::new(
+            Arc::clone(&ds),
+            ScanMode::Planted,
+        ))
+        .mapper(NotAPartMapper)
+        .try_build()
+        .expect("a well-formed estimating spec");
+    let id = rt.submit(spec, Box::new(incmr::mapreduce::StaticDriver::new(blocks)));
+    rt.run_until_idle();
+    let result = rt.job_result(id);
+    assert!(result.failed);
+    assert!(
+        matches!(result.error, Some(JobError::MalformedAggPart { .. })),
+        "{:?}",
+        result.error
+    );
+    assert!(result.agg.is_none());
+}

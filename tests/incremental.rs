@@ -487,3 +487,59 @@ fn a_standing_query_parks_and_is_woken_by_arriving_data() {
         );
     }
 }
+
+/// The output of each statement, in order, on one fresh HiveQL session
+/// over a full-scan table, with memoization on or off.
+fn session_outputs(memo: bool, sqls: &[&str]) -> Vec<String> {
+    let mut ns = Namespace::new(ClusterTopology::paper_cluster());
+    let mut rng = DetRng::seed_from(3);
+    let ds = Arc::new(Dataset::build(
+        &mut ns,
+        DatasetSpec::small("lineitem", 8, 2_000, SkewLevel::Zero, 3),
+        &mut EvenRoundRobin::new(),
+        &mut rng,
+    ));
+    let mut rt = MrRuntime::new(
+        ClusterConfig::paper_single_user(),
+        CostModel::paper_default(),
+        ns,
+        Box::new(FifoScheduler::new()),
+    );
+    if memo {
+        rt.enable_memoization();
+    }
+    let mut s = Session::builder()
+        .runtime(rt)
+        .table("lineitem", ds)
+        .scan_mode(ScanMode::Full)
+        .try_build()
+        .expect("session");
+    sqls.iter()
+        .map(|sql| format!("{:?}", s.execute(sql).expect("statement runs")))
+        .collect()
+}
+
+/// Every plan kind keys its memo entries on the computation it runs, so
+/// with memoization on a statement returns exactly what it returns with
+/// memoization off, whatever ran before it on the same table. Each pair
+/// below differs only in its predicate, grouping, or aggregate column.
+#[test]
+fn memoized_statements_match_unmemoized_ones_across_plan_kinds() {
+    let sqls = [
+        "SELECT L_ORDERKEY FROM lineitem WHERE L_SHIPMODE = 'AIR'",
+        "SELECT L_ORDERKEY FROM lineitem WHERE L_SHIPMODE = 'MAIL'",
+        "SELECT COUNT(*) FROM lineitem GROUP BY L_RETURNFLAG",
+        "SELECT COUNT(*) FROM lineitem GROUP BY L_LINESTATUS",
+        "SELECT SUM(L_QUANTITY) FROM lineitem WHERE L_SHIPMODE = 'AIR'",
+        "SELECT SUM(L_QUANTITY) FROM lineitem WHERE L_SHIPMODE = 'MAIL'",
+        "SELECT SUM(L_QUANTITY) FROM lineitem GROUP BY L_RETURNFLAG \
+         WITH ERROR 0.1 CONFIDENCE 0.9",
+        "SELECT SUM(L_EXTENDEDPRICE) FROM lineitem GROUP BY L_RETURNFLAG \
+         WITH ERROR 0.1 CONFIDENCE 0.9",
+    ];
+    let cold = session_outputs(false, &sqls);
+    let warm = session_outputs(true, &sqls);
+    for ((sql, cold), warm) in sqls.iter().zip(&cold).zip(&warm) {
+        assert_eq!(warm, cold, "{sql}");
+    }
+}

@@ -343,7 +343,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Integration: sinks and determinism on a real run
+// Integration: export and determinism on a real run
 // ---------------------------------------------------------------------------
 
 fn sampling_world(threads: u32) -> (MrRuntime, Arc<Dataset>) {
@@ -365,8 +365,8 @@ fn sampling_world(threads: u32) -> (MrRuntime, Arc<Dataset>) {
     (rt, ds)
 }
 
-fn run_sampling(rt: &mut MrRuntime, ds: &Arc<Dataset>, sink: Option<&str>) -> JobId {
-    let (mut job, driver) = incmr::core::build_sampling_job(
+fn run_sampling(rt: &mut MrRuntime, ds: &Arc<Dataset>) -> JobId {
+    let (job, driver) = incmr::core::build_sampling_job(
         ds,
         40,
         Policy::ma(),
@@ -374,30 +374,22 @@ fn run_sampling(rt: &mut MrRuntime, ds: &Arc<Dataset>, sink: Option<&str>) -> Jo
         SampleMode::FirstK,
         5,
     );
-    if let Some(s) = sink {
-        job.conf.set(incmr::mapreduce::keys::TRACE_SINK, s);
-    }
     let id = rt.submit(job, driver);
     rt.run_until_idle();
     assert!(!rt.job_result(id).failed);
     id
 }
 
-/// The conf-selected JSONL sink streams exactly what the in-memory trace
-/// records, and the text parses back into the identical event sequence.
+/// A real runtime trace survives the JSONL export: the encoded text
+/// parses back into the identical event sequence.
 #[test]
-fn jsonl_sink_agrees_with_memory_trace() {
+fn runtime_trace_round_trips_through_jsonl() {
     let (mut rt, ds) = sampling_world(1);
-    rt.enable_tracing(); // memory path
-    run_sampling(&mut rt, &ds, Some("jsonl")); // installs JsonlSink via conf
+    rt.enable_tracing();
+    run_sampling(&mut rt, &ds);
     let events = rt.take_trace();
     assert!(!events.is_empty());
-    let jsonl = rt
-        .take_trace_sink()
-        .expect("conf installed a sink")
-        .drain_jsonl();
-    assert_eq!(jsonl, encode_trace(&events));
-    assert_eq!(parse_trace(&jsonl).unwrap(), events);
+    assert_eq!(parse_trace(&encode_trace(&events)).unwrap(), events);
 }
 
 /// Every error-bound probe leaves exactly one trace event and one
@@ -471,7 +463,7 @@ fn obs_output_is_byte_identical_across_thread_counts() {
             let (mut rt, ds) = sampling_world(threads);
             rt.enable_tracing();
             rt.enable_audit();
-            run_sampling(&mut rt, &ds, None);
+            run_sampling(&mut rt, &ds);
             let trace = encode_trace(&rt.take_trace());
             let hist = rt.histograms().render();
             let audit = incmr::mapreduce::render_audit(rt.audit_log());
