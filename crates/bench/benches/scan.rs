@@ -7,8 +7,8 @@
 //!   split is a shared `Arc<RecordBatch>` (generated once, cached by the
 //!   input format) and the mapper runs the vectorised `eval_batch` kernel
 //!   over the column vectors.
-//! * `scan/full_rows_40x20k` — `ScanMode::FullRows`, the legacy reference
-//!   path: every read materialises `Vec<Record>` and the predicate is
+//! * `scan/full_rows_40x20k` — the row-at-a-time reference oracle
+//!   (`DatasetInputFormat::row_reference`): every read materialises `Vec<Record>` and the predicate is
 //!   evaluated record by record.
 //!
 //! This measures the *host* wall clock of the two-plane split (see
@@ -60,7 +60,7 @@ impl Mapper for PredicateCountMapper {
     }
 }
 
-fn scan_units(partitions: u32, records: u64, mode: ScanMode) -> Vec<MapUnit> {
+fn scan_units(partitions: u32, records: u64, rows: bool) -> Vec<MapUnit> {
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
     let mut rng = DetRng::seed_from(42);
     let spec = DatasetSpec::small("scanbench", partitions, records, SkewLevel::Moderate, 42);
@@ -71,7 +71,11 @@ fn scan_units(partitions: u32, records: u64, mode: ScanMode) -> Vec<MapUnit> {
         &mut rng,
     ));
     let predicate = ds.factory().predicate();
-    let input: Arc<dyn InputFormat> = Arc::new(DatasetInputFormat::new(Arc::clone(&ds), mode));
+    let input: Arc<dyn InputFormat> = Arc::new(if rows {
+        DatasetInputFormat::row_reference(Arc::clone(&ds), ScanMode::Full)
+    } else {
+        DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Full)
+    });
     let mapper: Arc<dyn Mapper> = Arc::new(PredicateCountMapper { predicate });
     ds.splits()
         .iter()
@@ -85,11 +89,11 @@ fn scan_units(partitions: u32, records: u64, mode: ScanMode) -> Vec<MapUnit> {
         .collect()
 }
 
-fn bench_scan_wave(c: &mut Criterion, group: &str, mode: ScanMode) {
+fn bench_scan_wave(c: &mut Criterion, group: &str, rows: bool) {
     // 40 splits × 20k records: one full scheduling wave on the paper's
     // 40-slot cluster, heavy enough for per-batch thread dispatch to be
     // noise.
-    let units = scan_units(40, 20_000, mode);
+    let units = scan_units(40, 20_000, rows);
     let records_total: u64 = 40 * 20_000;
     let mut g = c.benchmark_group(group);
     g.throughput(Throughput::Elements(records_total));
@@ -104,8 +108,8 @@ fn bench_scan_wave(c: &mut Criterion, group: &str, mode: ScanMode) {
 
 fn main() {
     let mut c = Criterion::default().configure_from_args();
-    bench_scan_wave(&mut c, "scan/full_batch_40x20k", ScanMode::Full);
-    bench_scan_wave(&mut c, "scan/full_rows_40x20k", ScanMode::FullRows);
+    bench_scan_wave(&mut c, "scan/full_batch_40x20k", false);
+    bench_scan_wave(&mut c, "scan/full_rows_40x20k", true);
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

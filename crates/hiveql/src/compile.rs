@@ -393,8 +393,8 @@ pub fn compile_query(
         Some(expr) => lower_expr(&schema, expr)?,
         None => predicate::Predicate::True,
     };
-    // Planted-mode evaluability check (batch or row reference flavour).
-    if matches!(scan_mode, ScanMode::Planted | ScanMode::PlantedRows) {
+    // Planted-mode evaluability check.
+    if scan_mode == ScanMode::Planted {
         let planted = dataset.factory().predicate();
         if predicate != planted {
             return Err(CompileError::PredicateNotPlanted {
@@ -638,12 +638,19 @@ fn compile_scan_or_sample(
             })
         }
         None => {
-            let materialize = matches!(scan_mode, ScanMode::Full | ScanMode::FullRows);
+            // The one plan kind whose map output depends on the scan mode
+            // (planted: unmaterialised counts; full: the projected rows),
+            // so the mode is part of its memo identity.
+            let (materialize, mode) = match scan_mode {
+                ScanMode::Full => (true, "full"),
+                ScanMode::Planted => (false, "planted"),
+            };
             let signature = plan_signature(
                 &query.table,
                 &[
                     ("query.predicate", &pred_rendered),
                     ("query.projection", &proj_rendered),
+                    ("query.scan_mode", mode),
                 ],
             );
             let spec = JobSpec::builder()
@@ -902,6 +909,24 @@ mod tests {
         assert_ne!(
             a.spec.conf.get(keys::JOB_SIGNATURE),
             c.spec.conf.get(keys::JOB_SIGNATURE),
+        );
+    }
+
+    #[test]
+    fn only_the_static_scan_signature_carries_the_scan_mode() {
+        let signature = |sql: &str, mode| {
+            let c = compile(sql, mode).unwrap();
+            c.spec.conf.get(keys::JOB_SIGNATURE).map(str::to_string)
+        };
+        let scan = "SELECT L_ORDERKEY FROM lineitem WHERE L_TAX = 0.77";
+        assert_ne!(
+            signature(scan, ScanMode::Planted),
+            signature(scan, ScanMode::Full)
+        );
+        let sample = "SELECT L_ORDERKEY FROM lineitem WHERE L_TAX = 0.77 LIMIT 5";
+        assert_eq!(
+            signature(sample, ScanMode::Planted),
+            signature(sample, ScanMode::Full)
         );
     }
 

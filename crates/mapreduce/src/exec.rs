@@ -102,11 +102,6 @@ pub enum ScanMode {
     /// Only the planted matches, as a shared columnar batch (large
     /// simulated runs).
     Planted,
-    /// Every record, row-materialised on each read — the legacy reference
-    /// path the determinism suite compares `Full` against.
-    FullRows,
-    /// Only the planted matches, row-materialised on each read.
-    PlantedRows,
 }
 
 /// Source of split contents, keyed by DFS block. `Send + Sync` so reads can
@@ -123,11 +118,12 @@ pub trait InputFormat: Send + Sync {
 /// subsequent read of the same block — re-executions, speculative backups,
 /// repeated bench iterations — is a reference-count bump. Generation is a
 /// pure function of the block *version*, so a cache hit is byte-identical
-/// to a regeneration and a mutated block (new version) misses cleanly; the
-/// row modes stay uncached to remain the plain reference path.
+/// to a regeneration and a mutated block (new version) misses cleanly.
 pub struct DatasetInputFormat {
     dataset: Arc<Dataset>,
     mode: ScanMode,
+    /// Row-materialise every read, uncached (the reference oracle).
+    rows: bool,
     cache: Mutex<HashMap<(BlockId, u32), Arc<RecordBatch>>>,
 }
 
@@ -137,7 +133,20 @@ impl DatasetInputFormat {
         DatasetInputFormat {
             dataset,
             mode,
+            rows: false,
             cache: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The row-at-a-time reference oracle for `mode`: every read
+    /// row-materialises the split from the generator's row iterators,
+    /// uncached. Equivalence tests and the scan bench compare the columnar
+    /// path against it; it is not a user-facing scan mode.
+    #[doc(hidden)]
+    pub fn row_reference(dataset: Arc<Dataset>, mode: ScanMode) -> Self {
+        DatasetInputFormat {
+            rows: true,
+            ..DatasetInputFormat::new(dataset, mode)
         }
     }
 
@@ -170,16 +179,16 @@ impl InputFormat for DatasetInputFormat {
         let plan = self.dataset.plan(block);
         let factory = self.dataset.factory();
         let generator = SplitGenerator::new(&factory, plan.spec);
-        match self.mode {
-            ScanMode::Full => {
+        match (self.mode, self.rows) {
+            (ScanMode::Full, false) => {
                 SplitData::Batch(self.cached_batch(block, plan.version, || generator.full_batch()))
             }
-            ScanMode::Planted => SplitData::PlantedBatch {
+            (ScanMode::Planted, false) => SplitData::PlantedBatch {
                 total_records: plan.spec.records,
                 matches: self.cached_batch(block, plan.version, || generator.planted_batch()),
             },
-            ScanMode::FullRows => SplitData::Records(generator.full_iter().collect()),
-            ScanMode::PlantedRows => SplitData::Planted {
+            (ScanMode::Full, true) => SplitData::Records(generator.full_iter().collect()),
+            (ScanMode::Planted, true) => SplitData::Planted {
                 total_records: plan.spec.records,
                 matches: generator.planted_matches(),
             },
@@ -387,12 +396,9 @@ mod tests {
     #[test]
     fn batch_modes_match_row_reference_modes() {
         let (_, ds) = small_dataset();
-        for (batch_mode, row_mode) in [
-            (ScanMode::Full, ScanMode::FullRows),
-            (ScanMode::Planted, ScanMode::PlantedRows),
-        ] {
-            let batched = DatasetInputFormat::new(Arc::clone(&ds), batch_mode);
-            let rows = DatasetInputFormat::new(Arc::clone(&ds), row_mode);
+        for mode in [ScanMode::Full, ScanMode::Planted] {
+            let batched = DatasetInputFormat::new(Arc::clone(&ds), mode);
+            let rows = DatasetInputFormat::row_reference(Arc::clone(&ds), mode);
             for plan in ds.splits() {
                 let a = batched.read(plan.block);
                 assert!(

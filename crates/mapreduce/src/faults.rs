@@ -7,9 +7,7 @@
 //! statistics shaped by exactly those effects. This module defines the
 //! simulated counterparts:
 //!
-//! * [`FaultPlan`] — per-map-attempt failure injection (the original fault
-//!   knob, kept for narrow tests);
-//! * [`ClusterFaultPlan`] — the full model: [`NodeOutage`] schedules
+//! * [`ClusterFaultPlan`] — the one fault model: [`NodeOutage`] schedules
 //!   (TaskTracker death and rejoin on simulated time), per-node speed
 //!   factors (stragglers), separate map and reduce attempt fault
 //!   probabilities, [`SpeculationConfig`], and a per-job blacklist
@@ -26,36 +24,6 @@ use std::fmt;
 
 use incmr_dfs::NodeId;
 use incmr_simkit::SimTime;
-
-/// Fault-injection configuration: each map-task attempt fails with
-/// `probability`, and a task that fails `max_attempts` times fails its job
-/// (Hadoop's `mapred.map.max.attempts` semantics, default 4).
-#[derive(Debug, Clone, Copy)]
-pub struct FaultPlan {
-    /// Per-attempt failure probability in `[0, 1)`.
-    pub probability: f64,
-    /// Attempts allowed per task before the job is failed.
-    pub max_attempts: u32,
-    /// Seed for the (deterministic) failure draws.
-    pub seed: u64,
-}
-
-impl FaultPlan {
-    /// Check the plan's parameters, returning a typed error instead of
-    /// panicking (the old `assert!`-based validation).
-    pub fn validate(&self) -> Result<(), FaultConfigError> {
-        if !(0.0..1.0).contains(&self.probability) {
-            return Err(FaultConfigError::Probability {
-                what: "map attempt fault",
-                value: self.probability,
-            });
-        }
-        if self.max_attempts == 0 {
-            return Err(FaultConfigError::ZeroMaxAttempts);
-        }
-        Ok(())
-    }
-}
 
 /// One scheduled TaskTracker outage: the node dies at `down_at` (killing
 /// every attempt it hosts and stranding the map output it stored) and
@@ -194,9 +162,6 @@ pub enum FaultConfigError {
         /// The rejected value.
         value: f64,
     },
-    /// `max_attempts` of zero on a [`FaultPlan`] (every attempt would
-    /// immediately exhaust the budget).
-    ZeroMaxAttempts,
     /// An outage or speed entry referencing a node outside the topology.
     UnknownNode {
         /// The out-of-range node.
@@ -232,9 +197,6 @@ impl fmt::Display for FaultConfigError {
         match self {
             FaultConfigError::Probability { what, value } => {
                 write!(f, "{what} probability {value} is outside [0, 1)")
-            }
-            FaultConfigError::ZeroMaxAttempts => {
-                write!(f, "max_attempts must be at least 1")
             }
             FaultConfigError::UnknownNode { node } => {
                 write!(f, "{node} is outside the cluster topology")
@@ -381,6 +343,7 @@ mod tests {
                     job: JobId(0),
                     task: TaskId(1),
                     node: NodeId(0),
+                    lost_race: true,
                 },
             ),
             at(
@@ -493,35 +456,6 @@ mod tests {
         assert_eq!(
             p.validate(10),
             Err(FaultConfigError::ZeroBlacklistThreshold)
-        );
-    }
-
-    #[test]
-    fn fault_plan_validation_matches_old_asserts() {
-        assert!(FaultPlan {
-            probability: 0.5,
-            max_attempts: 4,
-            seed: 0
-        }
-        .validate()
-        .is_ok());
-        assert!(matches!(
-            FaultPlan {
-                probability: 1.0,
-                max_attempts: 4,
-                seed: 0
-            }
-            .validate(),
-            Err(FaultConfigError::Probability { .. })
-        ));
-        assert_eq!(
-            FaultPlan {
-                probability: 0.0,
-                max_attempts: 0,
-                seed: 0
-            }
-            .validate(),
-            Err(FaultConfigError::ZeroMaxAttempts)
         );
     }
 

@@ -29,8 +29,8 @@
 //!   ([`exec::SplitData`]), mappers may emit [`exec::KeyedBatch`]
 //!   selection-vector handles instead of pairs, and the shuffle carries
 //!   them unmaterialised ([`shuffle::ValueSeq`]) until the reduce
-//!   boundary; `FullRows`/`PlantedRows` keep the row-at-a-time
-//!   reference path;
+//!   boundary; a hidden row-at-a-time reference oracle
+//!   (`DatasetInputFormat::row_reference`) pins batch ≡ rows in tests;
 //! * the **replication plane** (DESIGN.md §14): opt-in DataNode-death
 //!   semantics ([`runtime::MrRuntime::enable_data_loss`]) over rack-aware
 //!   replica placement, read failover, typed input-loss handling
@@ -88,7 +88,7 @@ pub use obs::{
 pub use parallel::{
     MapTaskResult, MapUnit, ParallelExecutor, ReduceTaskResult, ReduceUnit, UnitHandle, WorkUnit,
 };
-pub use runtime::{FaultPlan, MrRuntime, DEFAULT_MAX_IDLE_EVALUATIONS, MATERIALIZE_CAP_KEY};
+pub use runtime::{MrRuntime, DEFAULT_MAX_IDLE_EVALUATIONS, MATERIALIZE_CAP_KEY};
 pub use scheduler::{
     Assignment, Claims, FairScheduler, FifoScheduler, SchedJob, SchedView, TaskScheduler,
     ViewPolicy,
@@ -493,10 +493,11 @@ mod tests {
     #[test]
     fn fault_injection_retries_and_still_completes() {
         let (mut rt, ds) = small_world(12, 2_000);
-        rt.inject_faults(crate::FaultPlan {
-            probability: 0.3,
+        rt.inject_cluster_faults(crate::ClusterFaultPlan {
+            map_fault_probability: 0.3,
             max_attempts: 10,
             seed: 5,
+            ..Default::default()
         })
         .expect("valid plan");
         let (spec, driver) = static_job(&ds);
@@ -519,10 +520,11 @@ mod tests {
     #[test]
     fn exhausted_attempts_fail_the_job() {
         let (mut rt, ds) = small_world(4, 500);
-        rt.inject_faults(crate::FaultPlan {
-            probability: 0.999,
+        rt.inject_cluster_faults(crate::ClusterFaultPlan {
+            map_fault_probability: 0.999,
             max_attempts: 2,
             seed: 7,
+            ..Default::default()
         })
         .expect("valid plan");
         let (spec, driver) = static_job(&ds);
@@ -536,7 +538,7 @@ mod tests {
         let s = rt.cluster_status();
         assert_eq!(s.occupied_map_slots, 0);
         let (spec2, driver2) = static_job(&ds);
-        rt.faults_off_for_test();
+        rt.disarm_faults();
         let id2 = rt.submit(spec2, driver2);
         rt.run_until_idle();
         assert!(!rt.job_result(id2).failed);
@@ -546,10 +548,11 @@ mod tests {
     fn fault_injection_is_deterministic() {
         let run = || {
             let (mut rt, ds) = small_world(10, 1_000);
-            rt.inject_faults(crate::FaultPlan {
-                probability: 0.4,
+            rt.inject_cluster_faults(crate::ClusterFaultPlan {
+                map_fault_probability: 0.4,
                 max_attempts: 8,
                 seed: 11,
+                ..Default::default()
             })
             .expect("valid plan");
             let (spec, driver) = static_job(&ds);
@@ -708,10 +711,11 @@ mod tests {
         use crate::trace::TraceKind;
         let (mut rt, ds) = small_world(4, 500);
         rt.enable_tracing();
-        rt.inject_faults(crate::FaultPlan {
-            probability: 0.999,
+        rt.inject_cluster_faults(crate::ClusterFaultPlan {
+            map_fault_probability: 0.999,
             max_attempts: 2,
             seed: 3,
+            ..Default::default()
         })
         .expect("valid plan");
         let (spec, driver) = static_job(&ds);

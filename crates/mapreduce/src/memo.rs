@@ -12,13 +12,13 @@
 //!   merges the cached output through the shuffle's idempotent
 //!   `merge_task` path, so warm results stay byte-identical to cold ones;
 //! * **stale** — the block was rewritten since caching: the entry is dead,
-//!   the split recomputes, and the trace records `SplitDirty`;
+//!   the split recomputes, and the trace records `SplitComputed { stale }`;
 //! * **miss** — never computed under this signature: plain execution.
 //!
 //! Invalidation is by node death: cached map output lives on the node
 //! that produced it (Hadoop semantics — completed-map output dies with
-//! the TaskTracker), so [`MemoStore::invalidate_node`] drops every entry
-//! the dead node held and the next probe recomputes.
+//! the TaskTracker), so [`MemoStore::rehome_or_drop_node`] drops every
+//! entry the dead node held and the next probe recomputes.
 
 use std::collections::HashMap;
 
@@ -116,20 +116,12 @@ impl MemoStore {
         }
     }
 
-    /// Drop every entry whose holding node died (its stored map output is
-    /// gone). Returns how many entries were invalidated.
-    pub fn invalidate_node(&mut self, node: NodeId) -> u64 {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.node != node);
-        (before - self.entries.len()) as u64
-    }
-
-    /// Node death under DataNode-death semantics: each entry the dead node
-    /// held either moves to a surviving replica holder of its input block
-    /// (`new_home(block)` — the holder can re-derive the cached output
-    /// from its local replica) or, when no replica survives, is dropped.
-    /// Returns `(rehomed, dropped)` counts; per-entry and therefore
-    /// independent of iteration order.
+    /// Node death: each entry the dead node held either moves to
+    /// `new_home(block)` — under DataNode-death semantics, a surviving
+    /// replica holder that can re-derive the cached output from its local
+    /// replica — or, when that is `None`, is dropped (its stored map output
+    /// is gone). Returns `(rehomed, dropped)` counts; per-entry and
+    /// therefore independent of iteration order.
     pub fn rehome_or_drop_node(
         &mut self,
         node: NodeId,
@@ -232,11 +224,11 @@ mod tests {
         store.insert(1, BlockId(0), 0, NodeId(0), result(1));
         store.insert(1, BlockId(1), 0, NodeId(1), result(2));
         store.insert(2, BlockId(2), 0, NodeId(0), result(3));
-        assert_eq!(store.invalidate_node(NodeId(0)), 2);
+        assert_eq!(store.rehome_or_drop_node(NodeId(0), |_| None), (0, 2));
         assert_eq!(store.len(), 1);
         assert_eq!(store.probe(1, BlockId(0), 0), MemoProbe::Miss);
         assert_eq!(store.probe(1, BlockId(1), 0), MemoProbe::Hit);
-        assert_eq!(store.invalidate_node(NodeId(9)), 0);
+        assert_eq!(store.rehome_or_drop_node(NodeId(9), |_| None), (0, 0));
     }
 
     #[test]
@@ -244,8 +236,12 @@ mod tests {
         let mut store = MemoStore::new();
         store.insert(1, BlockId(0), 0, NodeId(0), result(1));
         store.rehome(1, BlockId(0), NodeId(5));
-        assert_eq!(store.invalidate_node(NodeId(0)), 0, "old holder irrelevant");
-        assert_eq!(store.invalidate_node(NodeId(5)), 1);
+        assert_eq!(
+            store.rehome_or_drop_node(NodeId(0), |_| None).1,
+            0,
+            "old holder irrelevant"
+        );
+        assert_eq!(store.rehome_or_drop_node(NodeId(5), |_| None).1, 1);
     }
 
     #[test]
@@ -260,7 +256,11 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert_eq!(store.probe(1, BlockId(0), 0), MemoProbe::Hit);
         assert_eq!(store.probe(1, BlockId(1), 0), MemoProbe::Miss);
-        assert_eq!(store.invalidate_node(NodeId(7)), 1, "entry moved home");
+        assert_eq!(
+            store.rehome_or_drop_node(NodeId(7), |_| None).1,
+            1,
+            "entry moved home"
+        );
     }
 
     #[test]

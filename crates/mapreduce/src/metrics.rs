@@ -74,33 +74,6 @@ pub struct FaultMetrics {
     pub nodes_blacklisted: u64,
 }
 
-impl FaultMetrics {
-    /// Recompute the trace-backed counters from an exported trace by
-    /// folding it through [`ClusterMetrics::count`]. The counters with no
-    /// dedicated trace event (`maps_reexecuted`, `speculative_wasted`,
-    /// `attempts_killed` — reduce attempts killed by node death release no
-    /// `AttemptKilled` event) stay zero; compare against
-    /// [`FaultMetrics::derivable`] of the live counters.
-    pub fn from_trace(events: &[TraceEvent]) -> FaultMetrics {
-        ClusterMetrics::from_trace(events).faults
-    }
-
-    /// This counter set restricted to the fields [`FaultMetrics::from_trace`]
-    /// can recompute (the rest zeroed), for direct equality checks.
-    pub fn derivable(&self) -> FaultMetrics {
-        FaultMetrics {
-            nodes_lost: self.nodes_lost,
-            nodes_rejoined: self.nodes_rejoined,
-            maps_reexecuted: 0,
-            speculative_launched: self.speculative_launched,
-            speculative_wasted: 0,
-            attempts_killed: 0,
-            reduce_failures: self.reduce_failures,
-            nodes_blacklisted: self.nodes_blacklisted,
-        }
-    }
-}
-
 /// Deterministic guard-rail counters: how often the runtime had to defend
 /// itself against misbehaving job-supplied logic (Input Providers, growth
 /// drivers) or enforce job deadlines. Like [`FaultMetrics`], these are
@@ -130,34 +103,6 @@ pub struct GuardrailMetrics {
     pub partial_samples: u64,
 }
 
-impl GuardrailMetrics {
-    /// Recompute the trace-backed counters from an exported trace by
-    /// folding it through [`ClusterMetrics::count`]. `provider_panics` and
-    /// `unknown_blocks` have no dedicated trace event (both surface as
-    /// `ProviderFault`) and stay zero; compare against
-    /// [`GuardrailMetrics::derivable`] of the live counters.
-    pub fn from_trace(events: &[TraceEvent]) -> GuardrailMetrics {
-        ClusterMetrics::from_trace(events).guardrails
-    }
-
-    /// This counter set restricted to the fields
-    /// [`GuardrailMetrics::from_trace`] can recompute (the rest zeroed),
-    /// for direct equality checks.
-    pub fn derivable(&self) -> GuardrailMetrics {
-        GuardrailMetrics {
-            provider_panics: 0,
-            provider_errors: self.provider_errors,
-            unknown_blocks: 0,
-            provider_retries: self.provider_retries,
-            duplicate_splits_dropped: self.duplicate_splits_dropped,
-            grab_limit_clamps: self.grab_limit_clamps,
-            jobs_wedged: self.jobs_wedged,
-            deadlines_exceeded: self.deadlines_exceeded,
-            partial_samples: self.partial_samples,
-        }
-    }
-}
-
 /// Deterministic memoization-plane counters: how the incremental
 /// recomputation machinery classified splits and what reuse saved. Driven
 /// purely by simulated scheduling, so they are identical across thread
@@ -180,31 +125,6 @@ pub struct MemoMetrics {
     /// Memo entries discarded because the node holding the cached map
     /// output died.
     pub entries_invalidated: u64,
-}
-
-impl MemoMetrics {
-    /// Recompute the trace-backed counters from an exported trace by
-    /// folding it through [`ClusterMetrics::count`]. `splits_computed` and
-    /// `entries_invalidated` have no dedicated trace event (computation is
-    /// visible only as the *absence* of `SplitReused` on a finished map)
-    /// and stay zero; compare against [`MemoMetrics::derivable`] of the
-    /// live counters.
-    pub fn from_trace(events: &[TraceEvent]) -> MemoMetrics {
-        ClusterMetrics::from_trace(events).memo
-    }
-
-    /// This counter set restricted to the fields [`MemoMetrics::from_trace`]
-    /// can recompute (the rest zeroed), for direct equality checks.
-    pub fn derivable(&self) -> MemoMetrics {
-        MemoMetrics {
-            splits_reused: self.splits_reused,
-            splits_dirty: self.splits_dirty,
-            splits_computed: 0,
-            input_arrivals: self.input_arrivals,
-            records_saved: 0,
-            entries_invalidated: 0,
-        }
-    }
 }
 
 /// Deterministic replication-plane counters: replica loss under
@@ -235,32 +155,6 @@ pub struct ReplicaMetrics {
     pub memo_rehomed: u64,
 }
 
-impl ReplicaMetrics {
-    /// Recompute the trace-backed counters from an exported trace by
-    /// folding it through [`ClusterMetrics::count`]. `blocks_lost`,
-    /// `reexecutions_avoided`, and `memo_rehomed` have no dedicated trace
-    /// event and stay zero; compare against [`ReplicaMetrics::derivable`]
-    /// of the live counters.
-    pub fn from_trace(events: &[TraceEvent]) -> ReplicaMetrics {
-        ClusterMetrics::from_trace(events).replica
-    }
-
-    /// This counter set restricted to the fields
-    /// [`ReplicaMetrics::from_trace`] can recompute (the rest zeroed), for
-    /// direct equality checks.
-    pub fn derivable(&self) -> ReplicaMetrics {
-        ReplicaMetrics {
-            replicas_lost: self.replicas_lost,
-            replicas_restored: self.replicas_restored,
-            read_failovers: self.read_failovers,
-            blocks_lost: 0,
-            input_lost_jobs: self.input_lost_jobs,
-            reexecutions_avoided: 0,
-            memo_rehomed: 0,
-        }
-    }
-}
-
 /// Host-side wall-clock nanoseconds spent on data-plane work, by phase.
 /// Pure observability: these depend on the host and thread count, so they
 /// are kept out of traces and all simulated accounting.
@@ -279,7 +173,6 @@ pub struct HostPhaseNanos {
 /// Collects resource-usage series during a run.
 #[derive(Debug, Clone)]
 pub struct ClusterMetrics {
-    start: SimTime,
     cpu: Sampled,
     disk: Sampled,
     occupied_slots: TimeWeighted,
@@ -320,7 +213,6 @@ impl ClusterMetrics {
         interval: SimDuration,
     ) -> Self {
         ClusterMetrics {
-            start,
             cpu: Sampled::new(start, interval),
             disk: Sampled::new(start, interval),
             occupied_slots: TimeWeighted::new(start, 0.0),
@@ -350,38 +242,9 @@ impl ClusterMetrics {
         self.occupied_slots.add(now, delta);
     }
 
-    /// Record one task assignment and whether it was data-local.
-    pub fn record_assignment(&mut self, local: bool) {
-        self.total_assignments += 1;
-        if local {
-            self.local_assignments += 1;
-        }
-    }
-
     /// Number of assignments recorded so far.
     pub fn assignments(&self) -> u64 {
         self.total_assignments
-    }
-
-    /// Record one job's closed shuffle: combiner totals and the modeled
-    /// byte share of its largest and smallest partitions.
-    pub fn record_shuffle(
-        &mut self,
-        combiner_input_records: u64,
-        combiner_output_records: u64,
-        max_partition_bytes: u64,
-        min_partition_bytes: u64,
-    ) {
-        let s = &mut self.shuffle;
-        s.combiner_input_records += combiner_input_records;
-        s.combiner_output_records += combiner_output_records;
-        s.max_partition_bytes = s.max_partition_bytes.max(max_partition_bytes);
-        s.min_partition_bytes = if s.jobs == 0 {
-            min_partition_bytes
-        } else {
-            s.min_partition_bytes.min(min_partition_bytes)
-        };
-        s.jobs += 1;
     }
 
     /// Shuffle counters accumulated so far.
@@ -411,24 +274,59 @@ impl ClusterMetrics {
         self.host
     }
 
-    /// Tally one trace event into the counter it backs. This is the only
-    /// writer of the event-backed counter fields: the runtime passes every
-    /// event it records through here, and each `from_trace` folds an
-    /// exported trace through it, so live and recomputed counters agree by
-    /// construction.
+    /// Tally one trace event into the counters it backs. This is the only
+    /// writer of every deterministic counter (assignments, shuffle, fault,
+    /// guard-rail, memo, and replica planes): the runtime passes every
+    /// event it records through here, and [`ClusterMetrics::from_trace`]
+    /// folds an exported trace through it, so live and recomputed counters
+    /// agree by construction.
     pub fn count(&mut self, kind: &TraceKind) {
         let (f, g) = (&mut self.faults, &mut self.guardrails);
         let (m, r) = (&mut self.memo, &mut self.replica);
         match *kind {
+            TraceKind::MapStarted { local, .. } => {
+                self.total_assignments += 1;
+                self.local_assignments += u64::from(local);
+            }
+            TraceKind::ShuffleReady {
+                combiner_in,
+                combiner_out,
+                max_partition_bytes,
+                min_partition_bytes,
+                ..
+            } => {
+                let s = &mut self.shuffle;
+                s.combiner_input_records += combiner_in;
+                s.combiner_output_records += combiner_out;
+                s.max_partition_bytes = s.max_partition_bytes.max(max_partition_bytes);
+                s.min_partition_bytes = if s.jobs == 0 {
+                    min_partition_bytes
+                } else {
+                    s.min_partition_bytes.min(min_partition_bytes)
+                };
+                s.jobs += 1;
+            }
             TraceKind::NodeLost { .. } => f.nodes_lost += 1,
             TraceKind::NodeRejoined { .. } => f.nodes_rejoined += 1,
             TraceKind::SpeculativeLaunch { .. } => f.speculative_launched += 1,
+            TraceKind::AttemptKilled { lost_race, .. } => {
+                f.attempts_killed += 1;
+                f.speculative_wasted += u64::from(lost_race);
+            }
+            TraceKind::ReduceKilled { .. } => f.attempts_killed += 1,
+            TraceKind::MapOutputLost { rerun: true, .. } => f.maps_reexecuted += 1,
+            TraceKind::MapOutputLost { rerun: false, .. } => r.reexecutions_avoided += 1,
             TraceKind::ReduceFailed { .. } => f.reduce_failures += 1,
             TraceKind::NodeBlacklisted { .. } => f.nodes_blacklisted += 1,
-            TraceKind::ProviderFault { fatal, .. } => {
+            TraceKind::ProviderFault {
+                fatal, panicked, ..
+            } => {
                 g.provider_errors += 1;
-                if !fatal {
-                    g.provider_retries += 1;
+                g.provider_retries += u64::from(!fatal);
+                if panicked {
+                    g.provider_panics += 1;
+                } else {
+                    g.unknown_blocks += 1;
                 }
             }
             TraceKind::DuplicateInputDropped { splits, .. } => {
@@ -438,10 +336,25 @@ impl ClusterMetrics {
             TraceKind::JobWedged { .. } => g.jobs_wedged += 1,
             TraceKind::DeadlineExceeded { .. } => g.deadlines_exceeded += 1,
             TraceKind::PartialSample { .. } => g.partial_samples += 1,
-            TraceKind::SplitReused { .. } => m.splits_reused += 1,
-            TraceKind::SplitDirty { .. } => m.splits_dirty += 1,
+            TraceKind::SplitReused { records, .. } => {
+                m.splits_reused += 1;
+                m.records_saved += records;
+            }
+            TraceKind::SplitComputed { stale, .. } => {
+                m.splits_computed += 1;
+                m.splits_dirty += u64::from(stale);
+            }
             TraceKind::InputArrived { .. } => m.input_arrivals += 1,
-            TraceKind::ReplicaLost { .. } => r.replicas_lost += 1,
+            TraceKind::MemoEntriesLost {
+                rehomed, dropped, ..
+            } => {
+                r.memo_rehomed += rehomed;
+                m.entries_invalidated += dropped;
+            }
+            TraceKind::ReplicaLost { last, .. } => {
+                r.replicas_lost += 1;
+                r.blocks_lost += u64::from(last);
+            }
             TraceKind::ReplicaRestored { .. } => r.replicas_restored += 1,
             TraceKind::ReadFailover { .. } => r.read_failovers += 1,
             TraceKind::InputLost { .. } => r.input_lost_jobs += 1,
@@ -449,9 +362,11 @@ impl ClusterMetrics {
         }
     }
 
-    /// A fresh collector with `events` folded through
-    /// [`ClusterMetrics::count`].
-    fn from_trace(events: &[TraceEvent]) -> ClusterMetrics {
+    /// Recompute every deterministic counter from an exported trace: a
+    /// fresh collector with `events` folded through
+    /// [`ClusterMetrics::count`]. For a trace covering the whole metrics
+    /// window, each plane's counters equal the live runtime's exactly.
+    pub fn from_trace(events: &[TraceEvent]) -> ClusterMetrics {
         let mut m = ClusterMetrics::new(SimTime::ZERO, 0, 0, 0, SimDuration::from_secs(30));
         for e in events {
             m.count(&e.kind);
@@ -459,20 +374,9 @@ impl ClusterMetrics {
         m
     }
 
-    /// Mutable fault-plane counters, for the fields with no trace event
-    /// (the rest are written only by [`ClusterMetrics::count`]).
-    pub(crate) fn faults_mut(&mut self) -> &mut FaultMetrics {
-        &mut self.faults
-    }
-
     /// Fault-plane counters accumulated so far.
     pub fn faults(&self) -> FaultMetrics {
         self.faults
-    }
-
-    /// Mutable guard-rail counters, for the fields with no trace event.
-    pub(crate) fn guardrails_mut(&mut self) -> &mut GuardrailMetrics {
-        &mut self.guardrails
     }
 
     /// Guard-rail counters accumulated so far.
@@ -480,20 +384,9 @@ impl ClusterMetrics {
         self.guardrails
     }
 
-    /// Mutable memoization counters, for the fields with no trace event.
-    pub(crate) fn memo_mut(&mut self) -> &mut MemoMetrics {
-        &mut self.memo
-    }
-
     /// Memoization counters accumulated so far.
     pub fn memo(&self) -> MemoMetrics {
         self.memo
-    }
-
-    /// Mutable replication-plane counters, for the fields with no trace
-    /// event.
-    pub(crate) fn replica_mut(&mut self) -> &mut ReplicaMetrics {
-        &mut self.replica
     }
 
     /// Replication-plane counters accumulated so far.
@@ -515,16 +408,13 @@ impl ClusterMetrics {
             slot_occupancy_pct: 100.0 * self.occupied_slots.mean(now) / self.total_slots as f64,
         }
     }
-
-    /// When collection started.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{JobId, TaskId};
+    use incmr_dfs::NodeId;
 
     #[test]
     fn cpu_and_disk_rates_normalise_to_capacity() {
@@ -552,7 +442,12 @@ mod tests {
     fn locality_percent() {
         let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
         for i in 0..10 {
-            m.record_assignment(i < 7);
+            m.count(&TraceKind::MapStarted {
+                job: JobId(0),
+                task: TaskId(i),
+                node: NodeId(0),
+                local: i < 7,
+            });
         }
         assert!((m.report(SimTime::from_secs(1)).locality_pct - 70.0).abs() < 1e-9);
         assert_eq!(m.assignments(), 10);
@@ -566,10 +461,18 @@ mod tests {
 
     #[test]
     fn shuffle_counters_aggregate_across_jobs() {
+        let ready = |job, combiner_in, combiner_out, max, min| TraceKind::ShuffleReady {
+            job: JobId(job),
+            partitions: 2,
+            combiner_in,
+            combiner_out,
+            max_partition_bytes: max,
+            min_partition_bytes: min,
+        };
         let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
         assert_eq!(m.shuffle().skew_ratio(), None);
-        m.record_shuffle(100, 10, 800, 200);
-        m.record_shuffle(50, 50, 1000, 500);
+        m.count(&ready(0, 100, 10, 800, 200));
+        m.count(&ready(1, 50, 50, 1000, 500));
         let s = m.shuffle();
         assert_eq!(s.jobs, 2);
         assert_eq!(s.combiner_input_records, 150);
@@ -597,241 +500,222 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fault_counters_accumulate() {
-        let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
-        assert_eq!(m.faults(), FaultMetrics::default());
-        m.count(&TraceKind::NodeLost {
-            node: incmr_dfs::NodeId(0),
-        });
-        m.faults_mut().maps_reexecuted += 3;
-        m.faults_mut().attempts_killed += 2;
-        let f = m.faults();
-        assert_eq!(f.nodes_lost, 1);
-        assert_eq!(f.maps_reexecuted, 3);
-        assert_eq!(f.attempts_killed, 2);
-        assert_eq!(f.speculative_launched, 0);
-    }
-
-    #[test]
-    fn guardrail_counters_accumulate() {
-        let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
-        assert_eq!(m.guardrails(), GuardrailMetrics::default());
-        m.guardrails_mut().provider_panics += 1;
-        let job = crate::job::JobId(0);
-        for fatal in [false, true] {
-            m.count(&TraceKind::ProviderFault { job, fatal });
-        }
-        m.count(&TraceKind::DuplicateInputDropped { job, splits: 5 });
-        m.count(&TraceKind::PartialSample {
-            job,
-            found: 1,
-            requested: 2,
-        });
-        let g = m.guardrails();
-        assert_eq!(g.provider_panics, 1);
-        assert_eq!(g.provider_errors, 2);
-        assert_eq!(g.duplicate_splits_dropped, 5);
-        assert_eq!(g.partial_samples, 1);
-        assert_eq!(g.provider_retries, 1);
-        assert_eq!(g.jobs_wedged, 0);
-    }
-
-    #[test]
-    fn counters_recompute_from_trace_events() {
-        use crate::job::{JobId, TaskId};
-        use incmr_dfs::NodeId;
-        let at = |s: u64, kind: TraceKind| TraceEvent {
+    fn at(s: u64, kind: TraceKind) -> TraceEvent {
+        TraceEvent {
             time: SimTime::from_secs(s),
             kind,
+        }
+    }
+
+    #[test]
+    fn fault_counters_fold_from_trace() {
+        let (job, node) = (JobId(0), NodeId(2));
+        let killed = |task, lost_race| TraceKind::AttemptKilled {
+            job,
+            task: TaskId(task),
+            node,
+            lost_race,
+        };
+        let output_lost = |task, rerun| TraceKind::MapOutputLost {
+            job,
+            task: TaskId(task),
+            rerun,
         };
         let events = vec![
-            at(1, TraceKind::NodeLost { node: NodeId(3) }),
+            at(1, TraceKind::NodeLost { node }),
+            at(1, killed(0, false)),
+            at(1, output_lost(1, true)),
+            at(1, output_lost(2, false)),
+            at(
+                1,
+                TraceKind::ReduceKilled {
+                    job,
+                    reduce: 0,
+                    node,
+                },
+            ),
             at(
                 2,
                 TraceKind::SpeculativeLaunch {
-                    job: JobId(0),
-                    task: TaskId(1),
-                    node: NodeId(2),
+                    job,
+                    task: TaskId(3),
+                    node,
                 },
             ),
-            at(3, TraceKind::NodeRejoined { node: NodeId(3) }),
-            at(
-                4,
-                TraceKind::ProviderFault {
-                    job: JobId(0),
-                    fatal: false,
-                },
-            ),
-            at(
-                5,
-                TraceKind::DuplicateInputDropped {
-                    job: JobId(0),
-                    splits: 4,
-                },
-            ),
+            at(3, killed(3, true)),
+            at(4, TraceKind::NodeRejoined { node }),
+            at(5, TraceKind::NodeBlacklisted { job, node }),
             at(
                 6,
-                TraceKind::ProviderFault {
-                    job: JobId(1),
-                    fatal: true,
+                TraceKind::ReduceFailed {
+                    job,
+                    reduce: 1,
+                    attempt: 1,
                 },
             ),
+        ];
+        let m = ClusterMetrics::from_trace(&events);
+        assert_eq!(
+            m.faults(),
+            FaultMetrics {
+                nodes_lost: 1,
+                nodes_rejoined: 1,
+                maps_reexecuted: 1,
+                speculative_launched: 1,
+                speculative_wasted: 1,
+                attempts_killed: 3,
+                reduce_failures: 1,
+                nodes_blacklisted: 1,
+            }
+        );
+        assert_eq!(m.replica().reexecutions_avoided, 1);
+    }
+
+    #[test]
+    fn guardrail_counters_fold_from_trace() {
+        let job = JobId(0);
+        let fault = |fatal, panicked| TraceKind::ProviderFault {
+            job,
+            fatal,
+            panicked,
+        };
+        let events = vec![
+            at(1, fault(false, true)),
+            at(2, fault(false, false)),
+            at(3, fault(true, true)),
+            at(4, TraceKind::DuplicateInputDropped { job, splits: 4 }),
             at(
-                7,
+                5,
                 TraceKind::GrabLimitClamped {
-                    job: JobId(0),
+                    job,
                     requested: 9,
                     granted: 4,
                 },
             ),
+            at(
+                6,
+                TraceKind::JobWedged {
+                    job,
+                    idle_evaluations: 8,
+                },
+            ),
+            at(
+                7,
+                TraceKind::DeadlineExceeded {
+                    job,
+                    graceful: true,
+                },
+            ),
+            at(
+                8,
+                TraceKind::PartialSample {
+                    job,
+                    found: 1,
+                    requested: 2,
+                },
+            ),
         ];
-        let f = FaultMetrics::from_trace(&events);
-        assert_eq!(f.nodes_lost, 1);
-        assert_eq!(f.nodes_rejoined, 1);
-        assert_eq!(f.speculative_launched, 1);
-        assert_eq!(f.reduce_failures, 0);
-        let g = GuardrailMetrics::from_trace(&events);
-        assert_eq!(g.provider_errors, 2);
-        assert_eq!(g.provider_retries, 1);
-        assert_eq!(g.duplicate_splits_dropped, 4);
-        assert_eq!(g.grab_limit_clamps, 1);
-        // `derivable` zeroes exactly the fields `from_trace` cannot see.
-        let mut live = FaultMetrics::from_trace(&events);
-        live.maps_reexecuted = 7;
-        live.attempts_killed = 9;
-        live.speculative_wasted = 2;
-        assert_eq!(live.derivable(), f);
-        let mut live = GuardrailMetrics::from_trace(&events);
-        live.provider_panics = 3;
-        live.unknown_blocks = 1;
-        assert_eq!(live.derivable(), g);
+        assert_eq!(
+            ClusterMetrics::from_trace(&events).guardrails(),
+            GuardrailMetrics {
+                provider_panics: 2,
+                provider_errors: 3,
+                unknown_blocks: 1,
+                provider_retries: 2,
+                duplicate_splits_dropped: 4,
+                grab_limit_clamps: 1,
+                jobs_wedged: 1,
+                deadlines_exceeded: 1,
+                partial_samples: 1,
+            }
+        );
     }
 
     #[test]
-    fn memo_counters_accumulate_and_recompute_from_trace() {
-        use crate::job::{JobId, TaskId};
-        let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
-        assert_eq!(m.memo(), MemoMetrics::default());
-        for task in [TaskId(0), TaskId(1)] {
-            m.count(&TraceKind::SplitReused {
-                job: JobId(0),
-                task,
-            });
-        }
-        m.memo_mut().records_saved += 500;
-        assert_eq!(m.memo().splits_reused, 2);
-        assert_eq!(m.memo().records_saved, 500);
-
-        let at = |s: u64, kind: TraceKind| TraceEvent {
-            time: SimTime::from_secs(s),
-            kind,
+    fn memo_and_replica_counters_fold_from_trace() {
+        use incmr_dfs::{BlockId, DiskId};
+        let job = JobId(0);
+        let computed = |task, stale| TraceKind::SplitComputed {
+            job,
+            task: TaskId(task),
+            stale,
+        };
+        let lost = |block, last| TraceKind::ReplicaLost {
+            block: BlockId(block),
+            node: NodeId(1),
+            last,
         };
         let events = vec![
             at(1, TraceKind::InputArrived { splits: 3 }),
             at(
                 2,
                 TraceKind::SplitReused {
-                    job: JobId(0),
+                    job,
                     task: TaskId(0),
+                    records: 500,
                 },
             ),
+            at(2, computed(1, false)),
+            at(3, computed(2, true)),
+            at(4, lost(0, false)),
+            at(4, lost(1, true)),
             at(
-                2,
-                TraceKind::SplitReused {
-                    job: JobId(0),
-                    task: TaskId(1),
-                },
-            ),
-            at(
-                3,
-                TraceKind::SplitDirty {
-                    job: JobId(0),
-                    task: TaskId(2),
-                },
-            ),
-        ];
-        let t = MemoMetrics::from_trace(&events);
-        assert_eq!(t.splits_reused, 2);
-        assert_eq!(t.splits_dirty, 1);
-        assert_eq!(t.input_arrivals, 1);
-        let mut live = t;
-        live.splits_computed = 4;
-        live.records_saved = 99;
-        live.entries_invalidated = 1;
-        assert_eq!(live.derivable(), t);
-    }
-
-    #[test]
-    fn replica_counters_accumulate_and_recompute_from_trace() {
-        use crate::job::{JobId, TaskId};
-        use incmr_dfs::{BlockId, DiskId, NodeId};
-        let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
-        assert_eq!(m.replica(), ReplicaMetrics::default());
-        for block in [BlockId(0), BlockId(1)] {
-            m.count(&TraceKind::ReplicaLost {
-                block,
-                node: NodeId(1),
-            });
-        }
-        m.replica_mut().reexecutions_avoided += 1;
-        assert_eq!(m.replica().replicas_lost, 2);
-        assert_eq!(m.replica().reexecutions_avoided, 1);
-
-        let at = |s: u64, kind: TraceKind| TraceEvent {
-            time: SimTime::from_secs(s),
-            kind,
-        };
-        let events = vec![
-            at(
-                1,
-                TraceKind::ReplicaLost {
-                    block: BlockId(0),
+                4,
+                TraceKind::MemoEntriesLost {
                     node: NodeId(1),
+                    rehomed: 2,
+                    dropped: 1,
                 },
             ),
             at(
-                1,
-                TraceKind::ReplicaLost {
-                    block: BlockId(1),
-                    node: NodeId(1),
-                },
-            ),
-            at(
-                2,
+                5,
                 TraceKind::ReadFailover {
-                    job: JobId(0),
+                    job,
                     task: TaskId(3),
                     from: DiskId(4),
                     to: DiskId(0),
                 },
             ),
             at(
-                3,
+                6,
                 TraceKind::ReplicaRestored {
                     block: BlockId(0),
                     node: NodeId(2),
                 },
             ),
             at(
-                4,
+                7,
                 TraceKind::InputLost {
-                    job: JobId(1),
-                    blocks: 2,
+                    job,
+                    blocks: 1,
                     graceful: false,
                 },
             ),
         ];
-        let t = ReplicaMetrics::from_trace(&events);
-        assert_eq!(t.replicas_lost, 2);
-        assert_eq!(t.replicas_restored, 1);
-        assert_eq!(t.read_failovers, 1);
-        assert_eq!(t.input_lost_jobs, 1);
-        let mut live = t;
-        live.blocks_lost = 1;
-        live.reexecutions_avoided = 3;
-        live.memo_rehomed = 2;
-        assert_eq!(live.derivable(), t);
+        let m = ClusterMetrics::from_trace(&events);
+        assert_eq!(
+            m.memo(),
+            MemoMetrics {
+                splits_reused: 1,
+                splits_dirty: 1,
+                splits_computed: 2,
+                input_arrivals: 1,
+                records_saved: 500,
+                entries_invalidated: 1,
+            }
+        );
+        assert_eq!(
+            m.replica(),
+            ReplicaMetrics {
+                replicas_lost: 2,
+                replicas_restored: 1,
+                read_failovers: 1,
+                blocks_lost: 1,
+                input_lost_jobs: 1,
+                reexecutions_avoided: 0,
+                memo_rehomed: 2,
+            }
+        );
     }
 
     #[test]

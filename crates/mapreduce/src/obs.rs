@@ -59,6 +59,8 @@ pub fn kind_name(kind: &TraceKind) -> &'static str {
         TraceKind::NodeRejoined { .. } => "NodeRejoined",
         TraceKind::SpeculativeLaunch { .. } => "SpeculativeLaunch",
         TraceKind::AttemptKilled { .. } => "AttemptKilled",
+        TraceKind::ReduceKilled { .. } => "ReduceKilled",
+        TraceKind::MapOutputLost { .. } => "MapOutputLost",
         TraceKind::NodeBlacklisted { .. } => "NodeBlacklisted",
         TraceKind::ProviderFault { .. } => "ProviderFault",
         TraceKind::GrabLimitClamped { .. } => "GrabLimitClamped",
@@ -70,10 +72,11 @@ pub fn kind_name(kind: &TraceKind) -> &'static str {
         TraceKind::QueryRejected { .. } => "QueryRejected",
         TraceKind::QuotaDeferred { .. } => "QuotaDeferred",
         TraceKind::SplitReused { .. } => "SplitReused",
-        TraceKind::SplitDirty { .. } => "SplitDirty",
+        TraceKind::SplitComputed { .. } => "SplitComputed",
         TraceKind::InputArrived { .. } => "InputArrived",
         TraceKind::ReplicaLost { .. } => "ReplicaLost",
         TraceKind::ReplicaRestored { .. } => "ReplicaRestored",
+        TraceKind::MemoEntriesLost { .. } => "MemoEntriesLost",
         TraceKind::ReadFailover { .. } => "ReadFailover",
         TraceKind::InputLost { .. } => "InputLost",
         TraceKind::ErrorBoundProbe { .. } => "ErrorBoundProbe",
@@ -167,18 +170,38 @@ pub fn encode_event(event: &TraceEvent) -> String {
                 field("task", task.0 as u64);
                 field("node", node.0 as u64);
             }
-            TraceKind::AttemptKilled { job, task, node } => {
+            TraceKind::AttemptKilled {
+                job,
+                task,
+                node,
+                lost_race,
+            } => {
                 field("job", job.0 as u64);
                 field("task", task.0 as u64);
                 field("node", node.0 as u64);
+                s.push_str(&format!(",\"lost_race\":{lost_race}"));
+            }
+            TraceKind::ReduceKilled { job, reduce, node } => {
+                field("job", job.0 as u64);
+                field("reduce", *reduce as u64);
+                field("node", node.0 as u64);
+            }
+            TraceKind::MapOutputLost { job, task, rerun } => {
+                field("job", job.0 as u64);
+                field("task", task.0 as u64);
+                s.push_str(&format!(",\"rerun\":{rerun}"));
             }
             TraceKind::NodeBlacklisted { job, node } => {
                 field("job", job.0 as u64);
                 field("node", node.0 as u64);
             }
-            TraceKind::ProviderFault { job, fatal } => {
+            TraceKind::ProviderFault {
+                job,
+                fatal,
+                panicked,
+            } => {
                 field("job", job.0 as u64);
-                s.push_str(&format!(",\"fatal\":{fatal}"));
+                s.push_str(&format!(",\"fatal\":{fatal},\"panicked\":{panicked}"));
             }
             TraceKind::GrabLimitClamped {
                 job,
@@ -225,20 +248,32 @@ pub fn encode_event(event: &TraceEvent) -> String {
                 field("tenant", *tenant as u64);
                 field("depth", *depth as u64);
             }
-            TraceKind::SplitReused { job, task } => {
+            TraceKind::SplitReused { job, task, records } => {
                 field("job", job.0 as u64);
                 field("task", task.0 as u64);
+                field("records", *records);
             }
-            TraceKind::SplitDirty { job, task } => {
+            TraceKind::SplitComputed { job, task, stale } => {
                 field("job", job.0 as u64);
                 field("task", task.0 as u64);
+                s.push_str(&format!(",\"stale\":{stale}"));
             }
             TraceKind::InputArrived { splits } => {
                 field("splits", *splits as u64);
             }
-            TraceKind::ReplicaLost { block, node } => {
+            TraceKind::ReplicaLost { block, node, last } => {
                 field("block", block.0 as u64);
                 field("node", node.0 as u64);
+                s.push_str(&format!(",\"last\":{last}"));
+            }
+            TraceKind::MemoEntriesLost {
+                node,
+                rehomed,
+                dropped,
+            } => {
+                field("node", node.0 as u64);
+                field("rehomed", *rehomed);
+                field("dropped", *dropped);
             }
             TraceKind::ReplicaRestored { block, node } => {
                 field("block", block.0 as u64);
@@ -542,6 +577,17 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, TraceParseError> {
             job: r.job()?,
             task: r.task()?,
             node: r.node()?,
+            lost_race: r.boolean("lost_race")?,
+        },
+        "ReduceKilled" => TraceKind::ReduceKilled {
+            job: r.job()?,
+            reduce: r.num("reduce")? as u32,
+            node: r.node()?,
+        },
+        "MapOutputLost" => TraceKind::MapOutputLost {
+            job: r.job()?,
+            task: r.task()?,
+            rerun: r.boolean("rerun")?,
         },
         "NodeBlacklisted" => TraceKind::NodeBlacklisted {
             job: r.job()?,
@@ -550,6 +596,7 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, TraceParseError> {
         "ProviderFault" => TraceKind::ProviderFault {
             job: r.job()?,
             fatal: r.boolean("fatal")?,
+            panicked: r.boolean("panicked")?,
         },
         "GrabLimitClamped" => TraceKind::GrabLimitClamped {
             job: r.job()?,
@@ -588,10 +635,12 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, TraceParseError> {
         "SplitReused" => TraceKind::SplitReused {
             job: r.job()?,
             task: r.task()?,
+            records: r.num("records")?,
         },
-        "SplitDirty" => TraceKind::SplitDirty {
+        "SplitComputed" => TraceKind::SplitComputed {
             job: r.job()?,
             task: r.task()?,
+            stale: r.boolean("stale")?,
         },
         "InputArrived" => TraceKind::InputArrived {
             splits: r.num("splits")? as u32,
@@ -599,6 +648,12 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, TraceParseError> {
         "ReplicaLost" => TraceKind::ReplicaLost {
             block: incmr_dfs::BlockId(r.num("block")? as u32),
             node: r.node()?,
+            last: r.boolean("last")?,
+        },
+        "MemoEntriesLost" => TraceKind::MemoEntriesLost {
+            node: r.node()?,
+            rehomed: r.num("rehomed")?,
+            dropped: r.num("dropped")?,
         },
         "ReplicaRestored" => TraceKind::ReplicaRestored {
             block: incmr_dfs::BlockId(r.num("block")? as u32),
@@ -1023,7 +1078,9 @@ fn collect_spans(events: &[TraceEvent]) -> (Vec<Span>, Vec<(NodeId, SimTime, Sim
                         speculative,
                     });
             }
-            TraceKind::AttemptKilled { job, task, node } => {
+            TraceKind::AttemptKilled {
+                job, task, node, ..
+            } => {
                 if let Some(attempts) = open_maps.get_mut(&(job.0, task.0)) {
                     if let Some(i) = attempts.iter().position(|a| a.node == *node) {
                         close(&mut spans, attempts.remove(i), e.time, LaneKind::Map);
@@ -1048,25 +1105,14 @@ fn collect_spans(events: &[TraceEvent]) -> (Vec<Span>, Vec<(NodeId, SimTime, Sim
                 );
             }
             TraceKind::ReduceFinished { job, reduce }
-            | TraceKind::ReduceFailed { job, reduce, .. } => {
+            | TraceKind::ReduceFailed { job, reduce, .. }
+            | TraceKind::ReduceKilled { job, reduce, .. } => {
                 if let Some(a) = open_reduces.remove(&(job.0, *reduce)) {
                     close(&mut spans, a, e.time, LaneKind::Reduce);
                 }
             }
             TraceKind::NodeLost { node } => {
                 down_since.insert(node.0, e.time);
-                // Map attempts on a dead node get explicit AttemptKilled
-                // events; reduces are restarted without one, so close any
-                // open reduce lane here.
-                let stranded: Vec<_> = open_reduces
-                    .iter()
-                    .filter(|(_, a)| a.node == *node)
-                    .map(|(k, _)| *k)
-                    .collect();
-                for k in stranded {
-                    let a = open_reduces.remove(&k).unwrap();
-                    close(&mut spans, a, e.time, LaneKind::Reduce);
-                }
             }
             TraceKind::NodeRejoined { node } => {
                 if let Some(start) = down_since.remove(&node.0) {
@@ -1076,8 +1122,7 @@ fn collect_spans(events: &[TraceEvent]) -> (Vec<Span>, Vec<(NodeId, SimTime, Sim
             _ => {}
         }
     }
-    for (job_task, attempts) in open_maps {
-        let _ = job_task;
+    for attempts in open_maps.into_values() {
         for a in attempts {
             close(&mut spans, a, end_time, LaneKind::Map);
         }
@@ -1258,6 +1303,7 @@ mod tests {
                 TraceKind::ReplicaLost {
                     block: BlockId(7),
                     node: NodeId(1),
+                    last: false,
                 },
             ),
             ev(
@@ -1287,7 +1333,7 @@ mod tests {
         ];
         let jsonl = encode_trace(&events);
         assert_eq!(parse_trace(&jsonl).unwrap(), events);
-        assert!(jsonl.contains("\"kind\":\"ReplicaLost\",\"block\":7,\"node\":1"));
+        assert!(jsonl.contains("\"kind\":\"ReplicaLost\",\"block\":7,\"node\":1,\"last\":false"));
         assert!(jsonl.contains("\"kind\":\"InputLost\",\"job\":1,\"blocks\":3,\"graceful\":false"));
     }
 
@@ -1447,6 +1493,7 @@ mod tests {
                     job,
                     task: TaskId(0),
                     node: NodeId(2),
+                    lost_race: true,
                 },
             ),
             ev(

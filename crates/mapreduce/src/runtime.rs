@@ -61,7 +61,6 @@ use crate::cluster::{ClusterConfig, ClusterStatus};
 use crate::conf::{keys, ConfError};
 use crate::cost::CostModel;
 use crate::exec::Key;
-pub use crate::faults::FaultPlan;
 use crate::faults::{pick_speculative, ClusterFaultPlan, FaultConfigError, SpecCandidate};
 use crate::job::{
     EvalContext, GrowthDirective, GrowthDriver, JobConfigError, JobError, JobId, JobProgress,
@@ -432,7 +431,6 @@ pub struct MrRuntime {
     /// Number of per-node heartbeat chains currently self-perpetuating.
     heartbeats_live: u32,
     active_jobs: u32,
-    faults: Option<(FaultPlan, DetRng)>,
     cluster_faults: Option<ClusterFaultState>,
     trace: Option<Vec<TraceEvent>>,
     /// Cluster-wide latency histograms, merged across all opted-in jobs.
@@ -524,7 +522,6 @@ impl MrRuntime {
             metrics_base: (0.0, 0.0),
             heartbeats_live: 0,
             active_jobs: 0,
-            faults: None,
             cluster_faults: None,
             trace: None,
             obs_registry: MetricsRegistry::new(),
@@ -676,20 +673,10 @@ impl MrRuntime {
         }
     }
 
-    /// Disable fault injection (test helper).
-    #[doc(hidden)]
-    pub fn faults_off_for_test(&mut self) {
-        self.faults = None;
-    }
-
-    /// Enable deterministic per-map-attempt fault injection. Rejects
-    /// out-of-range probabilities and a zero attempt budget with a typed
-    /// error (the old `assert!`-based validation).
-    pub fn inject_faults(&mut self, plan: FaultPlan) -> Result<(), FaultConfigError> {
-        plan.validate()?;
-        let rng = DetRng::seed_from(plan.seed);
-        self.faults = Some((plan, rng));
-        Ok(())
+    /// Disarm the cluster fault model, so later jobs run fault-free.
+    #[cfg(test)]
+    pub(crate) fn disarm_faults(&mut self) {
+        self.cluster_faults = None;
     }
 
     /// Arm the cluster-level fault model (node outages, stragglers, map and
@@ -1442,7 +1429,6 @@ impl MrRuntime {
     ) -> Result<AddOutcome, ProviderError> {
         let num_blocks = self.namespace.num_blocks();
         if let Some(&bad) = blocks.iter().find(|b| b.0 as usize >= num_blocks) {
-            self.metrics.guardrails_mut().unknown_blocks += 1;
             return Err(ProviderError::UnknownBlock { block: bad });
         }
         let mut clamped = false;
@@ -1485,21 +1471,16 @@ impl MrRuntime {
     /// evaluation is treated as a `Wait` and the provider is re-consulted
     /// at the next tick; otherwise the job fails with the typed error.
     fn provider_failed(&mut self, id: JobId, err: ProviderError) {
-        if matches!(err, ProviderError::Panicked { .. }) {
-            self.metrics.guardrails_mut().provider_panics += 1;
-        }
-        if self.job(id).provider_retries_left > 0 {
-            self.job_mut(id).provider_retries_left -= 1;
-            self.record(TraceKind::ProviderFault {
-                job: id,
-                fatal: false,
-            });
-        } else {
-            self.record(TraceKind::ProviderFault {
-                job: id,
-                fatal: true,
-            });
+        let fatal = self.job(id).provider_retries_left == 0;
+        self.record(TraceKind::ProviderFault {
+            job: id,
+            fatal,
+            panicked: matches!(err, ProviderError::Panicked { .. }),
+        });
+        if fatal {
             self.fail_job(id, JobError::Provider(err));
+        } else {
+            self.job_mut(id).provider_retries_left -= 1;
         }
     }
 
@@ -1963,19 +1944,17 @@ impl MrRuntime {
                     self.record(TraceKind::SplitReused {
                         job: a.job,
                         task: a.task,
+                        records: result.records_read,
                     });
-                    self.metrics.memo_mut().records_saved += result.records_read;
                     MapWork::Cached(result)
                 }
                 probe => {
-                    if probe == MemoProbe::Stale {
-                        self.record(TraceKind::SplitDirty {
+                    if self.memo.is_some() {
+                        self.record(TraceKind::SplitComputed {
                             job: a.job,
                             task: a.task,
+                            stale: probe == MemoProbe::Stale,
                         });
-                    }
-                    if self.memo.is_some() {
-                        self.metrics.memo_mut().splits_computed += 1;
                     }
                     let unit = {
                         let job = self.job(a.job);
@@ -2064,7 +2043,6 @@ impl MrRuntime {
         assert!(n.free_slots > 0, "dispatch to a full node");
         n.free_slots -= 1;
         self.metrics.slots_delta(now, 1.0);
-        self.metrics.record_assignment(local);
         self.record(TraceKind::MapStarted {
             job: id,
             task,
@@ -2146,7 +2124,7 @@ impl MrRuntime {
                             .iter()
                             .position(|a| a.id == attempt)
                             .expect("attempt checked above");
-                        self.kill_attempt(id, task, idx, true);
+                        self.kill_attempt(id, task, idx, false);
                         return;
                     }
                 },
@@ -2280,10 +2258,7 @@ impl MrRuntime {
         // Fault injection: decide whether this attempt fails before its
         // results are applied. Every completion draws (in simulated-time
         // order), so the stream is identical at any thread count.
-        let fault_budget = if let Some((plan, rng)) = &mut self.faults {
-            use rand::Rng;
-            (rng.gen_range(0.0..1.0) < plan.probability).then_some(plan.max_attempts)
-        } else if let Some(cf) = &mut self.cluster_faults {
+        let fault_budget = if let Some(cf) = &mut self.cluster_faults {
             use rand::Rng;
             let roll = cf.map_rng.gen_range(0.0..1.0);
             (roll < cf.plan.map_fault_probability).then_some(cf.plan.effective_max_attempts())
@@ -2404,7 +2379,6 @@ impl MrRuntime {
         // The speculative race (if any) has its winner: kill the siblings.
         while !self.job(id).tasks[task.0 as usize].running.is_empty() {
             self.kill_attempt(id, task, 0, true);
-            self.metrics.faults_mut().speculative_wasted += 1;
         }
         self.record(TraceKind::MapFinished { job: id, task });
         self.maybe_begin_reduce(id);
@@ -2512,12 +2486,11 @@ impl MrRuntime {
         self.refresh_sched_index(id);
     }
 
-    /// Cancel a running attempt mid-stage (speculative-race loser or node
-    /// death). Kills are free: they charge neither the task's attempt
-    /// budget nor the node's blacklist tally, matching Hadoop's
-    /// failed-vs-killed distinction. `free_slot` is false when the host
-    /// node died with the attempt (there is no slot to give back).
-    fn kill_attempt(&mut self, id: JobId, task: TaskId, idx: usize, free_slot: bool) {
+    /// Cancel a running attempt mid-stage (node death, unreadable input, or
+    /// — `lost_race` — a sibling attempt committed first). Kills are free:
+    /// they charge neither the task's attempt budget nor the node's
+    /// blacklist tally, matching Hadoop's failed-vs-killed distinction.
+    fn kill_attempt(&mut self, id: JobId, task: TaskId, idx: usize, lost_race: bool) {
         let now = self.sim.now();
         let a = self.job_mut(id).tasks[task.0 as usize].running.remove(idx);
         match a.stage {
@@ -2537,15 +2510,16 @@ impl MrRuntime {
                 self.refresh_cpu_wake(a.node.0);
             }
         }
-        if free_slot {
+        // A dead host has no slot to give back.
+        if self.nodes[a.node.0 as usize].alive {
             self.nodes[a.node.0 as usize].free_slots += 1;
         }
         self.metrics.slots_delta(now, -1.0);
-        self.metrics.faults_mut().attempts_killed += 1;
         self.record(TraceKind::AttemptKilled {
             job: id,
             task,
             node: a.node,
+            lost_race,
         });
         self.job_mut(id).running -= 1;
         self.refresh_spec_candidate(id, task);
@@ -2571,42 +2545,38 @@ impl MrRuntime {
         if self.data_loss {
             let affected = self.namespace.drop_node_replicas(NodeId(node));
             for &block in &affected {
+                let b = self.namespace.block(block);
+                let last = b.locations.is_empty();
+                if !last && (b.locations.len() as u8) < b.replication {
+                    self.under_replicated.insert(block);
+                }
+                any_block_lost |= last;
                 self.record(TraceKind::ReplicaLost {
                     block,
                     node: NodeId(node),
+                    last,
                 });
-                let b = self.namespace.block(block);
-                if b.locations.is_empty() {
-                    self.metrics.replica_mut().blocks_lost += 1;
-                    any_block_lost = true;
-                } else if (b.locations.len() as u8) < b.replication {
-                    self.under_replicated.insert(block);
-                }
             }
             self.schedule_repair();
         }
         if let Some(memo) = &mut self.memo {
-            if self.data_loss {
-                // A cached map output can be re-derived by any surviving
-                // holder of its input block: re-home the entry instead of
-                // recomputing; drop it only when no replica survives.
-                let namespace = &self.namespace;
-                let (rehomed, dropped) = memo.rehome_or_drop_node(NodeId(node), |b| {
-                    namespace
-                        .block(b)
-                        .locations
-                        .first()
-                        .map(|&d| namespace.topology().node_of(d))
+            // Cached map output lives on the node that produced (or last
+            // replayed) it and dies with the tracker, so its entries are
+            // dropped and later probes recompute. Under DataNode-death
+            // semantics any surviving holder of the input block can
+            // re-derive the output: re-home the entry there instead, and
+            // drop it only when no replica survives.
+            let (namespace, data_loss) = (&self.namespace, self.data_loss);
+            let (rehomed, dropped) = memo.rehome_or_drop_node(NodeId(node), |b| {
+                let holder = namespace.block(b).locations.first().filter(|_| data_loss);
+                holder.map(|&d| namespace.topology().node_of(d))
+            });
+            if rehomed + dropped > 0 {
+                self.record(TraceKind::MemoEntriesLost {
+                    node: NodeId(node),
+                    rehomed,
+                    dropped,
                 });
-                self.metrics.replica_mut().memo_rehomed += rehomed;
-                self.metrics.memo_mut().entries_invalidated += dropped;
-            } else {
-                // Cached map output lives on the node that produced (or
-                // last replayed) it and dies with the tracker — drop its
-                // memo entries so later probes recompute instead of
-                // replaying lost output.
-                let dropped = memo.invalidate_node(NodeId(node));
-                self.metrics.memo_mut().entries_invalidated += dropped;
             }
         }
         let job_ids: Vec<JobId> = self.jobs.iter().map(|j| j.id).collect();
@@ -2647,21 +2617,24 @@ impl MrRuntime {
                     // reducing, the merged buffers model output the
                     // reducers already fetched — no re-execution, as in
                     // Hadoop once all reducers pass the copy phase.)
-                    if self.data_loss && !self.namespace.block(entry.block).locations.is_empty() {
-                        // Replica fast path: the task's output is already
-                        // merged (the shuffle is job state), and a re-run
-                        // from a surviving replica would only reproduce
-                        // bytes the dup-merge guard drops — skip it.
-                        self.metrics.replica_mut().reexecutions_avoided += 1;
-                    } else {
-                        {
-                            let job = self.job_mut(id);
-                            let e = &mut job.tasks[t];
-                            e.done = false;
-                            e.completed_node = None;
-                            job.completed -= 1;
-                        }
-                        self.metrics.faults_mut().maps_reexecuted += 1;
+                    //
+                    // Replica fast path: under data loss with a surviving
+                    // replica, the task's output is already merged (the
+                    // shuffle is job state), and a re-run would only
+                    // reproduce bytes the dup-merge guard drops — skip it.
+                    let rerun =
+                        !self.data_loss || self.namespace.block(entry.block).locations.is_empty();
+                    self.record(TraceKind::MapOutputLost {
+                        job: id,
+                        task,
+                        rerun,
+                    });
+                    if rerun {
+                        let job = self.job_mut(id);
+                        let e = &mut job.tasks[t];
+                        e.done = false;
+                        e.completed_node = None;
+                        job.completed -= 1;
                         self.requeue_task(id, task);
                     }
                 }
@@ -2693,7 +2666,11 @@ impl MrRuntime {
                 if let Some(timer) = timer {
                     self.sim.cancel(timer);
                 }
-                self.metrics.faults_mut().attempts_killed += 1;
+                self.record(TraceKind::ReduceKilled {
+                    job: id,
+                    reduce: r as u32,
+                    node: NodeId(node),
+                });
                 self.pending_reduces.push_back((id, r as u32));
             }
             // Abandonment above (graceful deadline) can leave end-of-input
@@ -2846,7 +2823,7 @@ impl MrRuntime {
         // dead node itself were already killed, slotless, by the caller).
         for &t in &lost {
             while !self.job(id).tasks[t.0 as usize].running.is_empty() {
-                self.kill_attempt(id, t, 0, true);
+                self.kill_attempt(id, t, 0, false);
             }
         }
         let graceful = self.job(id).allow_partial;
@@ -3042,12 +3019,6 @@ impl MrRuntime {
         let combiner_in = job.combiner_input_records;
         let combiner_out = job.combiner_output_records;
         job.reduces = reduces;
-        self.metrics.record_shuffle(
-            combiner_in,
-            combiner_out,
-            max_partition_bytes,
-            min_partition_bytes,
-        );
         // Shuffle-merge window: first map completion to shuffle-ready
         // (zero for a job that never ran a map).
         let merge_ms = self

@@ -139,9 +139,9 @@ pub enum TraceKind {
         /// The node hosting the backup attempt.
         node: NodeId,
     },
-    /// A running attempt was killed (node death or losing a speculative
-    /// race) — killed, not failed: it does not count against the task's
-    /// attempt budget.
+    /// A running map attempt was killed (node death, unreadable input, or
+    /// losing a speculative race) — killed, not failed: it does not count
+    /// against the task's attempt budget.
     AttemptKilled {
         /// The job.
         job: JobId,
@@ -149,6 +149,30 @@ pub enum TraceKind {
         task: TaskId,
         /// The node the attempt was running on.
         node: NodeId,
+        /// True if a sibling attempt of the task committed first (a wasted
+        /// speculative race).
+        lost_race: bool,
+    },
+    /// A running reduce attempt died with its node; the partition goes
+    /// back to the reduce queue (killed, not failed).
+    ReduceKilled {
+        /// The job.
+        job: JobId,
+        /// Reduce partition index.
+        reduce: u32,
+        /// The dead node that hosted the attempt.
+        node: NodeId,
+    },
+    /// A completed map's stored output died with its node while the job
+    /// still maps.
+    MapOutputLost {
+        /// The job.
+        job: JobId,
+        /// The completed task whose output was lost.
+        task: TaskId,
+        /// True if the task re-executes; false if a live replica of its
+        /// input survives and the already-merged output is kept.
+        rerun: bool,
     },
     /// A job blacklisted a node after repeated counted failures on it.
     NodeBlacklisted {
@@ -165,6 +189,9 @@ pub enum TraceKind {
         job: JobId,
         /// True if the fault failed the job (retry budget exhausted).
         fatal: bool,
+        /// True for a caught panic; false for an `AddInput` naming a block
+        /// outside the namespace.
+        panicked: bool,
     },
     /// An `AddInput` directive exceeded the driver's grab limit and was
     /// truncated to it.
@@ -242,14 +269,19 @@ pub enum TraceKind {
         job: JobId,
         /// The reused task.
         task: TaskId,
+        /// Input records whose re-scan the hit avoided.
+        records: u64,
     },
-    /// A memo entry for this split existed but at a stale block version —
-    /// the split was rewritten since it was cached and must recompute.
-    SplitDirty {
+    /// With memoization on, the memo store could not satisfy a map task
+    /// and the mapper runs for real.
+    SplitComputed {
         /// The job.
         job: JobId,
-        /// The dirty task.
+        /// The computed task.
         task: TaskId,
+        /// True if an entry existed but at a stale block version (the
+        /// split was rewritten since it was cached).
+        stale: bool,
     },
     /// New blocks landed on the DFS while the cluster was live; parked
     /// standing queries were woken to consider them. Cluster-level: the
@@ -265,6 +297,18 @@ pub enum TraceKind {
         block: BlockId,
         /// The dead node that hosted it.
         node: NodeId,
+        /// True if this was the block's last replica.
+        last: bool,
+    },
+    /// A node death took memo entries whose cached output it held.
+    /// Cluster-level; recorded only when either count is nonzero.
+    MemoEntriesLost {
+        /// The dead node.
+        node: NodeId,
+        /// Entries moved to a surviving replica holder of their block.
+        rehomed: u64,
+        /// Entries discarded (no surviving holder to re-home onto).
+        dropped: u64,
     },
     /// The re-replication daemon restored a copy of an under-replicated
     /// block onto a live node. Cluster-level.
@@ -344,6 +388,8 @@ impl TraceKind {
             | TraceKind::ReduceFailed { job, .. }
             | TraceKind::SpeculativeLaunch { job, .. }
             | TraceKind::AttemptKilled { job, .. }
+            | TraceKind::ReduceKilled { job, .. }
+            | TraceKind::MapOutputLost { job, .. }
             | TraceKind::NodeBlacklisted { job, .. }
             | TraceKind::ProviderFault { job, .. }
             | TraceKind::GrabLimitClamped { job, .. }
@@ -353,7 +399,7 @@ impl TraceKind {
             | TraceKind::PartialSample { job, .. }
             | TraceKind::QueryAdmitted { job, .. }
             | TraceKind::SplitReused { job, .. }
-            | TraceKind::SplitDirty { job, .. }
+            | TraceKind::SplitComputed { job, .. }
             | TraceKind::ReadFailover { job, .. }
             | TraceKind::InputLost { job, .. }
             | TraceKind::ErrorBoundProbe { job, .. }
@@ -364,7 +410,8 @@ impl TraceKind {
             | TraceKind::QuotaDeferred { .. }
             | TraceKind::InputArrived { .. }
             | TraceKind::ReplicaLost { .. }
-            | TraceKind::ReplicaRestored { .. } => None,
+            | TraceKind::ReplicaRestored { .. }
+            | TraceKind::MemoEntriesLost { .. } => None,
         }
     }
 }
@@ -426,17 +473,45 @@ impl fmt::Display for TraceEvent {
             TraceKind::SpeculativeLaunch { job, task, node } => {
                 write!(f, "{job}/{task} speculative -> {node}")
             }
-            TraceKind::AttemptKilled { job, task, node } => {
-                write!(f, "{job}/{task} killed on {node}")
+            TraceKind::AttemptKilled {
+                job,
+                task,
+                node,
+                lost_race,
+            } => {
+                write!(
+                    f,
+                    "{job}/{task} killed on {node}{}",
+                    if *lost_race { " (lost race)" } else { "" }
+                )
+            }
+            TraceKind::ReduceKilled { job, reduce, node } => {
+                write!(f, "{job}/r{reduce} killed on {node}")
+            }
+            TraceKind::MapOutputLost { job, task, rerun } => {
+                write!(
+                    f,
+                    "{job}/{task} output lost{}",
+                    if *rerun {
+                        " (re-executing)"
+                    } else {
+                        " (replica survives)"
+                    }
+                )
             }
             TraceKind::NodeBlacklisted { job, node } => {
                 write!(f, "{job} blacklists {node}")
             }
-            TraceKind::ProviderFault { job, fatal } => {
+            TraceKind::ProviderFault {
+                job,
+                fatal,
+                panicked,
+            } => {
                 write!(
                     f,
-                    "{job} provider fault{}",
-                    if *fatal { " (FATAL)" } else { " (retrying)" }
+                    "{job} provider fault{}: {}",
+                    if *fatal { " (FATAL)" } else { " (retrying)" },
+                    if *panicked { "panic" } else { "unknown block" }
                 )
             }
             TraceKind::GrabLimitClamped {
@@ -478,17 +553,36 @@ impl fmt::Display for TraceEvent {
             TraceKind::QuotaDeferred { tenant, depth } => {
                 write!(f, "tenant{tenant} deferred (queue depth {depth})")
             }
-            TraceKind::SplitReused { job, task } => {
-                write!(f, "{job}/{task} reused from memo")
+            TraceKind::SplitReused { job, task, records } => {
+                write!(f, "{job}/{task} reused from memo ({records} records)")
             }
-            TraceKind::SplitDirty { job, task } => {
-                write!(f, "{job}/{task} dirty (stale memo version)")
+            TraceKind::SplitComputed { job, task, stale } => {
+                let why = if *stale {
+                    "dirty (stale memo version)"
+                } else {
+                    "computed (memo miss)"
+                };
+                write!(f, "{job}/{task} {why}")
             }
             TraceKind::InputArrived { splits } => {
                 write!(f, "+{splits} blocks arrived")
             }
-            TraceKind::ReplicaLost { block, node } => {
-                write!(f, "{block} replica on {node} LOST")
+            TraceKind::ReplicaLost { block, node, last } => {
+                write!(
+                    f,
+                    "{block} replica on {node} LOST{}",
+                    if *last { " (last replica)" } else { "" }
+                )
+            }
+            TraceKind::MemoEntriesLost {
+                node,
+                rehomed,
+                dropped,
+            } => {
+                write!(
+                    f,
+                    "{node} memo entries lost: {rehomed} rehomed, {dropped} dropped"
+                )
             }
             TraceKind::ReplicaRestored { block, node } => {
                 write!(f, "{block} re-replicated -> {node}")

@@ -66,7 +66,7 @@ fn batched_scan_reads_allocate_orders_of_magnitude_less_than_row_reads() {
     let mapper = incmr::core::SamplingMapper::new(ds.factory().predicate(), 100);
 
     let batch_input = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Full);
-    let row_input = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::FullRows);
+    let row_input = DatasetInputFormat::row_reference(Arc::clone(&ds), ScanMode::Full);
 
     // Warm the batch cache (first read generates the batch) and page in
     // any lazily-initialised state on both paths.

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use incmr::mapreduce::faults::unresolved_speculations;
 use incmr::mapreduce::{
-    ClusterFaultPlan, FaultMetrics, GuardrailMetrics, MemoMetrics, NodeOutage, SpeculationConfig,
+    ClusterFaultPlan, ClusterMetrics, FaultMetrics, MemoMetrics, NodeOutage, SpeculationConfig,
     TaskId, TraceEvent, TraceKind,
 };
 use incmr::prelude::*;
@@ -83,15 +83,25 @@ fn run_sized(
     rt.run_until_idle();
     let result = rt.job_result(id).clone();
     let events = rt.take_trace();
-    let faults = rt.metrics().faults();
-    assert_obs_invariants(
-        &result,
-        &events,
-        &faults,
-        rt.metrics().guardrails(),
-        rt.histograms(),
+    assert_obs_invariants(&result, &events, rt.metrics(), rt.histograms());
+    (result, events, rt.metrics().faults())
+}
+
+/// Every deterministic counter is a fold of the trace: recomputing the
+/// planes from a whole-run trace reproduces the live counters exactly.
+fn assert_counters_fold(events: &[TraceEvent], live: &ClusterMetrics) {
+    let folded = ClusterMetrics::from_trace(events);
+    assert_eq!(folded.faults(), live.faults(), "fault plane");
+    assert_eq!(folded.guardrails(), live.guardrails(), "guard-rail plane");
+    assert_eq!(folded.memo(), live.memo(), "memo plane");
+    assert_eq!(folded.replica(), live.replica(), "replica plane");
+    assert_eq!(folded.shuffle(), live.shuffle(), "shuffle counters");
+    assert_eq!(folded.assignments(), live.assignments(), "assignments");
+    assert_eq!(
+        folded.report(SimTime::ZERO).locality_pct,
+        live.report(SimTime::ZERO).locality_pct,
+        "locality"
     );
-    (result, events, faults)
 }
 
 /// Observability invariants checked on *every* chaos run, whatever the
@@ -100,17 +110,15 @@ fn run_sized(
 /// * trace timestamps never go backwards;
 /// * every `SpeculativeLaunch` resolves — an `AttemptKilled` on the task,
 ///   the task's `MapFinished` commit, or the job's completion;
-/// * fault and guard-rail counters recomputed from the exported trace
-///   equal the runtime's live counters (restricted to the trace-derivable
-///   fields);
+/// * every counter plane recomputed from the exported trace equals the
+///   runtime's live counters, struct for struct ([`assert_counters_fold`]);
 /// * histogram sample counts recomputed from the trace equal the
 ///   `MetricsRegistry` snapshot, and the job's own registry equals the
 ///   runtime-wide one (these runs hold a single job).
 fn assert_obs_invariants(
     result: &JobResult,
     events: &[TraceEvent],
-    faults: &FaultMetrics,
-    guards: GuardrailMetrics,
+    live: &ClusterMetrics,
     registry: &MetricsRegistry,
 ) {
     for w in events.windows(2) {
@@ -126,16 +134,7 @@ fn assert_obs_invariants(
         Vec::new(),
         "an exported trace must leave no speculative race unresolved"
     );
-    assert_eq!(
-        FaultMetrics::from_trace(events),
-        faults.derivable(),
-        "fault counters recomputed from the trace must match the runtime"
-    );
-    assert_eq!(
-        GuardrailMetrics::from_trace(events),
-        guards.derivable(),
-        "guard-rail counters recomputed from the trace must match the runtime"
-    );
+    assert_counters_fold(events, live);
 
     let mut map_started = 0u64;
     let mut map_finished = 0u64;
@@ -700,10 +699,12 @@ fn run_incremental(
     rt.run_until_idle();
     let result = rt.job_result(warm).clone();
     let primed = !rt.job_result(prime).failed;
+    let events = rt.take_trace();
+    assert_counters_fold(&events, rt.metrics());
     (
         result,
         primed,
-        rt.take_trace(),
+        events,
         rt.metrics().faults(),
         rt.metrics().memo(),
     )

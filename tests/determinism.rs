@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use incmr::mapreduce::{
-    DatasetInputFormat, FaultPlan, MapResult, Mapper, ShuffleMetrics, SplitData, StaticDriver,
-    TraceEvent,
+    ClusterFaultPlan, DatasetInputFormat, MapResult, Mapper, ShuffleMetrics, SplitData,
+    StaticDriver, TraceEvent,
 };
 use incmr::prelude::*;
 
@@ -123,8 +123,9 @@ fn workload_runs_are_reproducible() {
 /// timeline.
 fn scan_mode_fingerprint(
     threads: u32,
-    faults: Option<FaultPlan>,
+    faults: Option<&ClusterFaultPlan>,
     mode: ScanMode,
+    rows: bool,
 ) -> (JobResult, Vec<TraceEvent>) {
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
     let mut rng = DetRng::seed_from(17);
@@ -143,43 +144,46 @@ fn scan_mode_fingerprint(
     );
     rt.enable_tracing();
     if let Some(plan) = faults {
-        rt.inject_faults(plan).expect("valid plan");
+        rt.inject_cluster_faults(plan.clone()).expect("valid plan");
     }
-    let (job, driver) = build_sampling_job(&ds, 15, Policy::ma(), mode, SampleMode::FirstK, 23);
+    let (mut job, driver) = build_sampling_job(&ds, 15, Policy::ma(), mode, SampleMode::FirstK, 23);
+    if rows {
+        job.input_format = Arc::new(DatasetInputFormat::row_reference(Arc::clone(&ds), mode));
+    }
     let id = rt.submit(job, driver);
     rt.run_until_idle();
     (rt.job_result(id).clone(), rt.take_trace())
 }
 
-fn parallel_fingerprint(threads: u32, faults: Option<FaultPlan>) -> (JobResult, Vec<TraceEvent>) {
-    scan_mode_fingerprint(threads, faults, ScanMode::Planted)
+fn parallel_fingerprint(
+    threads: u32,
+    faults: Option<&ClusterFaultPlan>,
+) -> (JobResult, Vec<TraceEvent>) {
+    scan_mode_fingerprint(threads, faults, ScanMode::Planted, false)
 }
 
 /// The columnar scan path is an *implementation* of the same scan, not a
-/// different scan: switching a job from the row reference modes to the
-/// batch modes must leave every observable — sampled output, counters,
+/// different scan: switching a job from the row reference oracle to the
+/// batch path must leave every observable — sampled output, counters,
 /// and the full trace timeline — byte-identical, at every thread count.
 /// Batch boundaries must not leak into sampling decisions.
 #[test]
 fn columnar_scan_modes_reproduce_row_reference_modes() {
-    for (batch, rows) in [
-        (ScanMode::Planted, ScanMode::PlantedRows),
-        (ScanMode::Full, ScanMode::FullRows),
-    ] {
-        let (ref_result, ref_trace) = scan_mode_fingerprint(1, None, rows);
+    for mode in [ScanMode::Planted, ScanMode::Full] {
+        let (ref_result, ref_trace) = scan_mode_fingerprint(1, None, mode, true);
         assert!(!ref_trace.is_empty());
         for threads in [1, 4, 8] {
-            let (result, trace) = scan_mode_fingerprint(threads, None, batch);
+            let (result, trace) = scan_mode_fingerprint(threads, None, mode, false);
             assert_eq!(
                 result.output, ref_result.output,
-                "{batch:?}@{threads} threads diverged from {rows:?}"
+                "{mode:?}@{threads} threads diverged from the row reference"
             );
             assert_eq!(result.response_time(), ref_result.response_time());
             assert_eq!(result.records_processed, ref_result.records_processed);
             assert_eq!(result.splits_processed, ref_result.splits_processed);
             assert_eq!(
                 trace, ref_trace,
-                "{batch:?}@{threads} threads: timeline diverged from {rows:?}"
+                "{mode:?}@{threads} threads: timeline diverged from the row reference"
             );
         }
     }
@@ -218,18 +222,19 @@ fn parallel_data_plane_reproduces_serial_results_exactly() {
 /// order; the worker pool must not perturb it.
 #[test]
 fn fault_injection_is_thread_count_invariant() {
-    let plan = FaultPlan {
-        probability: 0.25,
+    let plan = ClusterFaultPlan {
+        map_fault_probability: 0.25,
         max_attempts: 10,
         seed: 99,
+        ..Default::default()
     };
-    let (serial_result, serial_trace) = parallel_fingerprint(1, Some(plan));
+    let (serial_result, serial_trace) = parallel_fingerprint(1, Some(&plan));
     assert!(
         serial_result.task_failures > 0,
         "the plan must actually inject failures"
     );
     for threads in [4, 8] {
-        let (result, trace) = parallel_fingerprint(threads, Some(plan));
+        let (result, trace) = parallel_fingerprint(threads, Some(&plan));
         assert_eq!(result.task_failures, serial_result.task_failures);
         assert_eq!(result.response_time(), serial_result.response_time());
         assert_eq!(result.output, serial_result.output);
@@ -281,7 +286,7 @@ impl Combiner for DropEveryThird {
 /// counters.
 fn reduce_plane_fingerprint(
     threads: u32,
-    faults: Option<FaultPlan>,
+    faults: Option<&ClusterFaultPlan>,
 ) -> (JobResult, Vec<TraceEvent>, ShuffleMetrics) {
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
     let mut rng = DetRng::seed_from(29);
@@ -300,7 +305,7 @@ fn reduce_plane_fingerprint(
     );
     rt.enable_tracing();
     if let Some(plan) = faults {
-        rt.inject_faults(plan).expect("valid plan");
+        rt.inject_cluster_faults(plan.clone()).expect("valid plan");
     }
     let job = JobSpec::builder()
         .reduces(3)
@@ -322,13 +327,15 @@ fn reduce_plane_fingerprint(
 fn reduce_plane_and_combiner_are_thread_count_invariant() {
     for faults in [
         None,
-        Some(FaultPlan {
-            probability: 0.2,
+        Some(ClusterFaultPlan {
+            map_fault_probability: 0.2,
             max_attempts: 10,
             seed: 31,
+            ..Default::default()
         }),
     ] {
-        let (serial_result, serial_trace, serial_shuffle) = reduce_plane_fingerprint(1, faults);
+        let (serial_result, serial_trace, serial_shuffle) =
+            reduce_plane_fingerprint(1, faults.as_ref());
         assert!(
             serial_shuffle.combined_away() > 0,
             "the combiner must actually drop records"
@@ -341,7 +348,7 @@ fn reduce_plane_and_combiner_are_thread_count_invariant() {
             assert!(serial_result.task_failures > 0);
         }
         for threads in [4, 8] {
-            let (result, trace, shuffle) = reduce_plane_fingerprint(threads, faults);
+            let (result, trace, shuffle) = reduce_plane_fingerprint(threads, faults.as_ref());
             assert_eq!(
                 result.output,
                 serial_result.output,

@@ -146,6 +146,7 @@ fn golden_timeline_exercises_every_incremental_event_kind() {
     for needle in [
         "reused from memo",
         "dirty (stale memo version)",
+        "computed (memo miss)",
         "+4 blocks arrived",
         "+2 blocks arrived",
     ] {

@@ -172,6 +172,7 @@ fn golden_schedule_exercises_every_replication_event_kind() {
     let got = render_run();
     for needle in [
         "replica on node0 LOST",
+        "(last replica)",
         "read failover",
         "re-replicated ->",
         "input lost:",

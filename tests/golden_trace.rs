@@ -105,6 +105,8 @@ fn golden_schedule_exercises_every_event_kind() {
         "FAILED (attempt",
         "speculative ->",
         "killed on",
+        "(lost race)",
+        "output lost (re-executing)",
         "blacklists",
     ] {
         assert!(
@@ -357,6 +359,7 @@ fn guardrail_schedule_exercises_every_guardrail_event_kind() {
         "WEDGED",
         "provider fault (FATAL)",
         "provider fault (retrying)",
+        ": panic",
         "deadline exceeded (partial)",
         "deadline exceeded (FATAL)",
         "partial sample",

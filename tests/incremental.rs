@@ -23,6 +23,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use incmr::core::ContinuousSampling;
+use incmr::data::generator::RecordFactory;
 use incmr::mapreduce::{keys, MemoMetrics};
 use incmr::prelude::*;
 
@@ -180,7 +181,7 @@ fn expect(ops: &[Op]) -> Expect {
 /// Normalize one job's slice of a trace for warm-vs-cold comparison:
 /// keep only that job's events, rebase times to its first event, rewrite
 /// the job id to 0, and strip the memo-plane annotations (`SplitReused` /
-/// `SplitDirty`) — those *describe* how the run was produced, while
+/// `SplitComputed`) — those *describe* how the run was produced, while
 /// everything left *is* the run.
 fn fingerprint(events: &[TraceEvent], job: JobId) -> String {
     let filtered: Vec<TraceEvent> = events
@@ -189,7 +190,7 @@ fn fingerprint(events: &[TraceEvent], job: JobId) -> String {
         .filter(|e| {
             !matches!(
                 e.kind,
-                TraceKind::SplitReused { .. } | TraceKind::SplitDirty { .. }
+                TraceKind::SplitReused { .. } | TraceKind::SplitComputed { .. }
             )
         })
         .cloned()
@@ -542,4 +543,63 @@ fn memoized_statements_match_unmemoized_ones_across_plan_kinds() {
     for ((sql, cold), warm) in sqls.iter().zip(&cold).zip(&warm) {
         assert_eq!(warm, cold, "{sql}");
     }
+}
+
+/// A fresh session over a small planted table under `mode`, and a static
+/// scan statement whose predicate is the planted one (so it compiles in
+/// both scan modes).
+fn planted_table_session(memo: bool, mode: ScanMode) -> (Session, String) {
+    let mut ns = Namespace::new(ClusterTopology::paper_cluster());
+    let mut rng = DetRng::seed_from(5);
+    let ds = Arc::new(Dataset::build(
+        &mut ns,
+        DatasetSpec::small("lineitem", 8, 2_000, SkewLevel::High, 5),
+        &mut EvenRoundRobin::new(),
+        &mut rng,
+    ));
+    let mut rt = MrRuntime::new(
+        ClusterConfig::paper_single_user(),
+        CostModel::paper_default(),
+        ns,
+        Box::new(FifoScheduler::new()),
+    );
+    if memo {
+        rt.enable_memoization();
+    }
+    let factory = ds.factory();
+    let sql = format!(
+        "SELECT L_ORDERKEY FROM lineitem WHERE {}",
+        factory.predicate().display(&factory.schema())
+    );
+    let session = Session::builder()
+        .runtime(rt)
+        .table("lineitem", ds)
+        .scan_mode(mode)
+        .try_build()
+        .expect("session");
+    (session, sql)
+}
+
+/// A static scan compiled under `Planted` emits unmaterialised counts, so
+/// its cached map output must never answer the same statement after the
+/// session switches to `Full`: the scan mode is part of the memo identity.
+/// The unmemoized session runs the same two statements, so job ids and
+/// simulated times line up and the whole output must match.
+#[test]
+fn a_scan_mode_switch_shares_no_cached_output() {
+    let outputs = |memo: bool| {
+        let (mut s, sql) = planted_table_session(memo, ScanMode::Planted);
+        let planted = format!("{:?}", s.execute(&sql).expect("planted scan"));
+        s.state_mut().set_scan_mode(ScanMode::Full);
+        let full = format!("{:?}", s.execute(&sql).expect("full scan"));
+        (planted, full)
+    };
+    let (planted, warm) = outputs(true);
+    let (_, cold) = outputs(false);
+    assert!(
+        planted.contains("rows: []") && !cold.contains("rows: []"),
+        "the planted scan must be unmaterialised and the full one not, \
+         for this test to bite: {planted} / {cold}"
+    );
+    assert_eq!(warm, cold);
 }

@@ -19,7 +19,7 @@ use incmr::dfs::DiskId;
 
 /// Keep in sync with [`kind_index`]'s exhaustive match (which is what
 /// actually enforces the count at build time).
-const NUM_KINDS: usize = 34;
+const NUM_KINDS: usize = 37;
 
 /// Generator-side build guard: exhaustive, no wildcard. A new `TraceKind`
 /// variant fails compilation here until [`kind_from`] can produce it.
@@ -51,7 +51,7 @@ fn kind_index(kind: &TraceKind) -> usize {
         TraceKind::QueryRejected { .. } => 23,
         TraceKind::QuotaDeferred { .. } => 24,
         TraceKind::SplitReused { .. } => 25,
-        TraceKind::SplitDirty { .. } => 26,
+        TraceKind::SplitComputed { .. } => 26,
         TraceKind::InputArrived { .. } => 27,
         TraceKind::ReplicaLost { .. } => 28,
         TraceKind::ReplicaRestored { .. } => 29,
@@ -59,6 +59,9 @@ fn kind_index(kind: &TraceKind) -> usize {
         TraceKind::InputLost { .. } => 31,
         TraceKind::ErrorBoundProbe { .. } => 32,
         TraceKind::BoundMet { .. } => 33,
+        TraceKind::ReduceKilled { .. } => 34,
+        TraceKind::MapOutputLost { .. } => 35,
+        TraceKind::MemoEntriesLost { .. } => 36,
     }
 }
 
@@ -114,9 +117,18 @@ fn kind_from(which: usize, a: u64, b: u64, c: u64, d: u64) -> TraceKind {
         11 => TraceKind::NodeLost { node },
         12 => TraceKind::NodeRejoined { node },
         13 => TraceKind::SpeculativeLaunch { job, task, node },
-        14 => TraceKind::AttemptKilled { job, task, node },
+        14 => TraceKind::AttemptKilled {
+            job,
+            task,
+            node,
+            lost_race: flag,
+        },
         15 => TraceKind::NodeBlacklisted { job, node },
-        16 => TraceKind::ProviderFault { job, fatal: flag },
+        16 => TraceKind::ProviderFault {
+            job,
+            fatal: flag,
+            panicked: !flag,
+        },
         17 => TraceKind::GrabLimitClamped {
             job,
             requested: b as u32,
@@ -151,12 +163,21 @@ fn kind_from(which: usize, a: u64, b: u64, c: u64, d: u64) -> TraceKind {
             tenant: b as u32,
             depth: c as u32,
         },
-        25 => TraceKind::SplitReused { job, task },
-        26 => TraceKind::SplitDirty { job, task },
+        25 => TraceKind::SplitReused {
+            job,
+            task,
+            records: d,
+        },
+        26 => TraceKind::SplitComputed {
+            job,
+            task,
+            stale: flag,
+        },
         27 => TraceKind::InputArrived { splits: b as u32 },
         28 => TraceKind::ReplicaLost {
             block: BlockId(b as u32),
             node,
+            last: flag,
         },
         29 => TraceKind::ReplicaRestored {
             block: BlockId(b as u32),
@@ -184,6 +205,21 @@ fn kind_from(which: usize, a: u64, b: u64, c: u64, d: u64) -> TraceKind {
             job,
             completed: b as u32,
             total: c as u32,
+        },
+        34 => TraceKind::ReduceKilled {
+            job,
+            reduce: b as u32,
+            node,
+        },
+        35 => TraceKind::MapOutputLost {
+            job,
+            task,
+            rerun: flag,
+        },
+        36 => TraceKind::MemoEntriesLost {
+            node,
+            rehomed: c,
+            dropped: d,
         },
         _ => unreachable!(),
     }

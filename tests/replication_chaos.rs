@@ -15,7 +15,9 @@
 use std::sync::Arc;
 
 use incmr::dfs::ReplicatedPlacement;
-use incmr::mapreduce::{keys, ClusterFaultPlan, FaultMetrics, NodeOutage, ReplicaMetrics};
+use incmr::mapreduce::{
+    keys, ClusterFaultPlan, ClusterMetrics, FaultMetrics, NodeOutage, ReplicaMetrics,
+};
 use incmr::prelude::*;
 
 /// Re-replication daemon period for every armed run.
@@ -25,14 +27,30 @@ const REPAIR: SimDuration = SimDuration::from_secs(5);
 /// waves, so a mid-run death finds both completed and pending maps.
 const SPLITS: u32 = 96;
 
-/// Run the full scan once on a rack-aware replicated world with data-loss
-/// semantics (and the repair daemon) armed, under an optional outage.
-fn run_replicated(
+/// Every deterministic counter is a fold of the trace: recomputing the
+/// planes from a whole-run trace reproduces the live counters exactly.
+fn assert_counters_fold(events: &[TraceEvent], live: &ClusterMetrics) {
+    let folded = ClusterMetrics::from_trace(events);
+    assert_eq!(folded.faults(), live.faults(), "fault plane");
+    assert_eq!(folded.guardrails(), live.guardrails(), "guard-rail plane");
+    assert_eq!(folded.memo(), live.memo(), "memo plane");
+    assert_eq!(folded.replica(), live.replica(), "replica plane");
+    assert_eq!(folded.shuffle(), live.shuffle(), "shuffle counters");
+    assert_eq!(folded.assignments(), live.assignments(), "assignments");
+    assert_eq!(
+        folded.report(SimTime::ZERO).locality_pct,
+        live.report(SimTime::ZERO).locality_pct,
+        "locality"
+    );
+}
+
+/// A rack-aware replicated world with data-loss semantics (and the repair
+/// daemon) and tracing armed, under an optional outage.
+fn replicated_world(
     replication: u8,
     threads: u32,
     outage: Option<NodeOutage>,
-    allow_partial: bool,
-) -> (JobResult, Vec<TraceEvent>, ReplicaMetrics, FaultMetrics) {
+) -> (MrRuntime, Arc<Dataset>) {
     let topology = ClusterTopology::paper_cluster().with_racks(2);
     let mut ns = Namespace::new(topology);
     let mut rng = DetRng::seed_from(17);
@@ -60,17 +78,33 @@ fn run_replicated(
         })
         .expect("valid plan");
     }
-    // A sampling job needing every match in the dataset: it must process
-    // all splits, and its reduce output is real rows — so fault-free vs
-    // chaos output comparisons are byte-meaningful.
-    let (mut job, driver) = build_sampling_job(
-        &ds,
+    (rt, ds)
+}
+
+/// A sampling job needing every match in the dataset: it must process all
+/// splits, and its reduce output is real rows — so fault-free vs chaos
+/// output comparisons are byte-meaningful.
+fn sample_everything(ds: &Arc<Dataset>) -> (JobSpec, Box<dyn incmr::mapreduce::GrowthDriver>) {
+    let (job, driver) = build_sampling_job(
+        ds,
         ds.total_matching(),
         Policy::hadoop(),
         ScanMode::Planted,
         SampleMode::FirstK,
         23,
     );
+    (job, driver)
+}
+
+/// Run the full scan once on a replicated world under an optional outage.
+fn run_replicated(
+    replication: u8,
+    threads: u32,
+    outage: Option<NodeOutage>,
+    allow_partial: bool,
+) -> (JobResult, Vec<TraceEvent>, ReplicaMetrics, FaultMetrics) {
+    let (mut rt, ds) = replicated_world(replication, threads, outage);
+    let (mut job, driver) = sample_everything(&ds);
     if allow_partial {
         job.conf.set(keys::ALLOW_PARTIAL, true);
     }
@@ -86,11 +120,7 @@ fn run_replicated(
             "trace timestamps must be nondecreasing"
         );
     }
-    assert_eq!(
-        ReplicaMetrics::from_trace(&events),
-        replica.derivable(),
-        "replica counters recomputed from the trace must match the runtime"
-    );
+    assert_counters_fold(&events, rt.metrics());
     (result, events, replica, faults)
 }
 
@@ -247,4 +277,56 @@ fn a_rejoined_datanode_comes_back_empty_and_is_repaired() {
             && matches!(e.kind, TraceKind::ReplicaRestored { node, .. } if node == NodeId(0))),
         "the empty rejoined node is a valid re-replication target"
     );
+}
+
+/// The planes together: memoization, re-replication, and a node outage in
+/// one session. The death lands mid-run, after node 0 cached map output;
+/// at r = 2 every block survives, so the dead holder's memo entries are
+/// re-homed rather than dropped, and a warm requery replays them. Both
+/// runs match the fault-free output, the whole session is thread
+/// invariant, and every counter plane is a fold of its trace.
+#[test]
+fn memo_survives_data_loss_by_rehoming_at_every_thread_count() {
+    let outage = directed_outage();
+    let (baseline, _, _, _) = run_replicated(2, 1, None, false);
+    assert!(!baseline.failed);
+    let session = |threads: u32| {
+        let (mut rt, ds) = replicated_world(2, threads, Some(outage));
+        rt.enable_memoization();
+        let mut results = Vec::new();
+        for _ in 0..2 {
+            let (job, driver) = sample_everything(&ds);
+            let id = rt.submit(job, driver);
+            rt.run_until_idle();
+            results.push(rt.job_result(id).clone());
+        }
+        let events = rt.take_trace();
+        assert_counters_fold(&events, rt.metrics());
+        (results, events, rt.metrics().memo(), rt.metrics().replica())
+    };
+    let (results, events, memo, replica) = session(1);
+    assert!(
+        replica.memo_rehomed > 0,
+        "the dead node's memo entries must be re-homed: {replica:?}"
+    );
+    assert!(
+        memo.splits_reused > 0,
+        "the warm requery must replay cached splits: {memo:?}"
+    );
+    for r in &results {
+        assert!(!r.failed);
+        assert_eq!(
+            r.output, baseline.output,
+            "survivor output must be fault-free"
+        );
+    }
+    for threads in [4, 8] {
+        let (results_n, events_n, memo_n, replica_n) = session(threads);
+        assert_eq!(
+            results_n.iter().map(|r| &r.output).collect::<Vec<_>>(),
+            results.iter().map(|r| &r.output).collect::<Vec<_>>()
+        );
+        assert_eq!(events_n, events, "trace differs at {threads} threads");
+        assert_eq!((memo_n, replica_n), (memo, replica));
+    }
 }
