@@ -5,8 +5,8 @@
 //!
 //! * `scan/full_batch_40x20k` — `ScanMode::Full`, the columnar path: each
 //!   split is a shared `Arc<RecordBatch>` (generated once, cached by the
-//!   input format) and the mapper runs the vectorised `eval_batch` kernel
-//!   over the column vectors.
+//!   `Dataset` for every job that reads it) and the mapper runs the
+//!   vectorised `eval_batch` kernel over the column vectors.
 //! * `scan/full_rows_40x20k` — the row-at-a-time reference oracle
 //!   (`DatasetInputFormat::row_reference`): every read materialises `Vec<Record>` and the predicate is
 //!   evaluated record by record.

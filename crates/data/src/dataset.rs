@@ -7,12 +7,14 @@
 //! rows in 40 partitions, 100× → 600 M rows in 800 partitions.
 
 use std::collections::HashMap;
-use std::sync::RwLock;
+use std::fmt;
+use std::sync::{Arc, Mutex, RwLock};
 
 use incmr_dfs::{BlockId, BlockSpec, FileId, Namespace, PlacementPolicy};
 use incmr_simkit::rng::DetRng;
 
-use crate::generator::SplitSpec;
+use crate::batch::RecordBatch;
+use crate::generator::{SplitGenerator, SplitSpec};
 use crate::lineitem::LineItemFactory;
 use crate::queries::{PaperPredicate, SkewLevel, PAPER_SELECTIVITY};
 use crate::skew;
@@ -111,29 +113,51 @@ struct PlanState {
     by_block: HashMap<BlockId, usize>,
 }
 
+/// Which generated form of a block a cached batch holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum BatchKind {
+    Full,
+    Planted,
+}
+
+/// Generated batches, one per `(block, kind)`, each tagged with the block
+/// version it was generated from.
+type BatchCache = HashMap<(BlockId, BatchKind), (u32, Arc<RecordBatch>)>;
+
 /// A materialised (planned) dataset: the DFS file plus per-split plans.
 ///
 /// Plans are interior-mutable so an `Arc<Dataset>` handed to the runtime's
 /// input format stays valid while the dataset evolves ([`Dataset::append`] /
 /// [`Dataset::mutate`]) between job runs.
-#[derive(Debug)]
+///
+/// The dataset also owns its columnar batch cache
+/// ([`Dataset::full_batch`] / [`Dataset::planted_batch`]), so every job
+/// over it shares one generation per block version.
 pub struct Dataset {
     spec: DatasetSpec,
     file: FileId,
     state: RwLock<PlanState>,
+    /// Lock order: `state` before `batches`. [`Dataset::mutate`] evicts
+    /// under the `state` write lock and inserts happen under its read
+    /// lock, so an entry always holds the block's current version.
+    batches: Mutex<BatchCache>,
+}
+
+impl fmt::Debug for Dataset {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Dataset")
+            .field("spec", &self.spec)
+            .field("file", &self.file)
+            .field("state", &self.state)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Clone for Dataset {
+    /// Copies the plans; the clone starts with an empty batch cache.
     fn clone(&self) -> Self {
         let state = self.state.read().expect("dataset plans");
-        Dataset {
-            spec: self.spec.clone(),
-            file: self.file,
-            state: RwLock::new(PlanState {
-                plans: state.plans.clone(),
-                by_block: state.by_block.clone(),
-            }),
-        }
+        Dataset::from_plans(self.spec.clone(), self.file, state.plans.clone())
     }
 }
 
@@ -186,6 +210,10 @@ impl Dataset {
                 version: 0,
             })
             .collect();
+        Dataset::from_plans(spec, file, plans)
+    }
+
+    fn from_plans(spec: DatasetSpec, file: FileId, plans: Vec<SplitPlan>) -> Dataset {
         let by_block = plans
             .iter()
             .enumerate()
@@ -195,6 +223,7 @@ impl Dataset {
             spec,
             file,
             state: RwLock::new(PlanState { plans, by_block }),
+            batches: Mutex::new(HashMap::new()),
         }
     }
 
@@ -253,7 +282,10 @@ impl Dataset {
     /// content seed forked from `(index, version)`, so version `v ≥ 1` of
     /// a split generates different rows than version `v−1` — which is
     /// what makes stale memoized map output observably wrong if it were
-    /// ever reused. Returns the new versions, in argument order.
+    /// ever reused. The rewritten blocks' cached batches are evicted
+    /// before the plan lock is released, so the cache neither serves nor
+    /// retains a stale version. Returns the new versions, in argument
+    /// order.
     ///
     /// # Panics
     /// Panics if a block does not belong to this dataset.
@@ -267,7 +299,10 @@ impl Dataset {
         let versions = namespace.mutate_blocks(blocks, placement, rng);
         let seed_root = DetRng::seed_from(self.spec.seed);
         let mut state = self.state.write().expect("dataset plans");
+        let mut batches = self.batches.lock().expect("dataset batches");
         for (&block, &version) in blocks.iter().zip(&versions) {
+            batches.remove(&(block, BatchKind::Full));
+            batches.remove(&(block, BatchKind::Planted));
             let index = namespace.block(block).index as u64;
             let slot = state.by_block[&block];
             let plan = &mut state.plans[slot];
@@ -303,6 +338,77 @@ impl Dataset {
     pub fn plan(&self, block: BlockId) -> SplitPlan {
         let state = self.state.read().expect("dataset plans");
         state.plans[state.by_block[&block]]
+    }
+
+    /// Every record of `block` at its current version, columnar — the
+    /// cached form of [`SplitGenerator::full_batch`]. The first read of a
+    /// block version generates it; every later read, by any job, is an
+    /// `Arc` bump.
+    ///
+    /// # Panics
+    /// Panics if the block does not belong to this dataset.
+    pub fn full_batch(&self, block: BlockId) -> Arc<RecordBatch> {
+        self.cached_batch(block, BatchKind::Full)
+    }
+
+    /// Only the planted matches of `block` at its current version — the
+    /// cached form of [`SplitGenerator::planted_batch`], with the same
+    /// sharing as [`Dataset::full_batch`].
+    ///
+    /// # Panics
+    /// Panics if the block does not belong to this dataset.
+    pub fn planted_batch(&self, block: BlockId) -> Arc<RecordBatch> {
+        self.cached_batch(block, BatchKind::Planted)
+    }
+
+    fn cached_batch(&self, block: BlockId, kind: BatchKind) -> Arc<RecordBatch> {
+        let plan = match self.lookup_batch(block, kind) {
+            Ok(hit) => return hit,
+            Err(plan) => plan,
+        };
+        // Generate outside the locks: concurrent readers may race to build
+        // the same block, but generation is pure, so the loser's copy is
+        // identical and simply dropped.
+        let factory = self.factory();
+        let generator = SplitGenerator::new(&factory, plan.spec);
+        let built = Arc::new(match kind {
+            BatchKind::Full => generator.full_batch(),
+            BatchKind::Planted => generator.planted_batch(),
+        });
+        self.insert_batch(block, kind, plan.version, built)
+    }
+
+    /// The cached batch of `block`'s current version, or on a miss the
+    /// plan to generate it from.
+    fn lookup_batch(&self, block: BlockId, kind: BatchKind) -> Result<Arc<RecordBatch>, SplitPlan> {
+        let plan = self.plan(block);
+        match self
+            .batches
+            .lock()
+            .expect("dataset batches")
+            .get(&(block, kind))
+        {
+            Some((version, hit)) if *version == plan.version => Ok(Arc::clone(hit)),
+            _ => Err(plan),
+        }
+    }
+
+    /// Cache `built`, generated from `version` of `block`, and return the
+    /// batch to serve. A block rewritten since `version` was read caches
+    /// nothing: the reader still gets the version it asked for.
+    fn insert_batch(
+        &self,
+        block: BlockId,
+        kind: BatchKind,
+        version: u32,
+        built: Arc<RecordBatch>,
+    ) -> Arc<RecordBatch> {
+        let state = self.state.read().expect("dataset plans");
+        if state.plans[state.by_block[&block]].version != version {
+            return built;
+        }
+        let mut batches = self.batches.lock().expect("dataset batches");
+        Arc::clone(&batches.entry((block, kind)).or_insert((version, built)).1)
     }
 
     /// Whether a block belongs to this dataset.
@@ -494,6 +600,41 @@ mod tests {
         assert_ne!(after.spec.seed, before.spec.seed, "rewrite draws new rows");
         assert_eq!(ds.total_matching(), 15_000, "matching total is invariant");
         assert_eq!(ns.version_of(target), 1, "DFS counter stays in lockstep");
+    }
+
+    #[test]
+    fn a_batch_generated_across_a_rewrite_is_served_but_not_cached() {
+        let (mut ns, ds) = build(SkewLevel::Zero, 12);
+        let block = ds.splits()[0].block;
+        // A reader misses and generates from version 0 ...
+        let Err(plan) = ds.lookup_batch(block, BatchKind::Planted) else {
+            panic!("a cold cache misses")
+        };
+        let factory = ds.factory();
+        let stale = Arc::new(SplitGenerator::new(&factory, plan.spec).planted_batch());
+        // ... while a writer rewrites the block.
+        let mut rng = DetRng::seed_from(12);
+        ds.mutate(&mut ns, &[block], &mut EvenRoundRobin::new(), &mut rng);
+        let served = ds.insert_batch(block, BatchKind::Planted, plan.version, Arc::clone(&stale));
+        assert!(Arc::ptr_eq(&served, &stale), "the reader gets its version");
+        drop(served);
+        assert_eq!(Arc::strong_count(&stale), 1, "the cache kept no copy");
+        assert!(ds.lookup_batch(block, BatchKind::Planted).is_err());
+        let fresh = ds.planted_batch(block);
+        assert_ne!(fresh.to_records(), stale.to_records());
+        assert!(Arc::ptr_eq(&fresh, &ds.planted_batch(block)));
+    }
+
+    #[test]
+    fn a_clone_starts_with_an_empty_batch_cache() {
+        let (_, ds) = build(SkewLevel::Zero, 13);
+        let block = ds.splits()[0].block;
+        let cached = ds.planted_batch(block);
+        let copy = ds.clone();
+        assert!(copy.lookup_batch(block, BatchKind::Planted).is_err());
+        let regenerated = copy.planted_batch(block);
+        assert!(!Arc::ptr_eq(&cached, &regenerated));
+        assert_eq!(*cached, *regenerated);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   mode (only matching records materialised; equivalence is
 //!   property-tested),
 //! * [`dataset`] — end-to-end dataset construction onto an `incmr-dfs`
-//!   namespace (Table II), and
+//!   namespace (Table II), with a per-version cache of each block's
+//!   generated batch, and
 //! * [`queries`] — the experiment predicates, one per skew level
 //!   (Table III).
 

@@ -23,8 +23,7 @@
 //! dummy key), so sharing one allocation per distinct key instead of one
 //! `String` per pair removes the dominant allocation on the shuffle path.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use incmr_data::{BatchSelection, Dataset, Record, RecordBatch, SplitGenerator};
 use incmr_dfs::BlockId;
@@ -113,18 +112,18 @@ pub trait InputFormat: Send + Sync {
 
 /// Reads splits from a planned [`Dataset`].
 ///
-/// Batch scan modes cache each block's generated [`RecordBatch`]: the first
-/// read generates columnar data (zero per-record allocation), and every
-/// subsequent read of the same block — re-executions, speculative backups,
-/// repeated bench iterations — is a reference-count bump. Generation is a
-/// pure function of the block *version*, so a cache hit is byte-identical
-/// to a regeneration and a mutated block (new version) misses cleanly.
+/// Batch scan modes read through the dataset's batch cache
+/// ([`Dataset::full_batch`] / [`Dataset::planted_batch`]): the first read
+/// of a block version, by any job, generates columnar data (zero
+/// per-record allocation), and every later read — other jobs over the
+/// same dataset, re-executions, speculative backups — is a
+/// reference-count bump. The input format itself holds no cache, so
+/// building one per job costs nothing.
 pub struct DatasetInputFormat {
     dataset: Arc<Dataset>,
     mode: ScanMode,
     /// Row-materialise every read, uncached (the reference oracle).
     rows: bool,
-    cache: Mutex<HashMap<(BlockId, u32), Arc<RecordBatch>>>,
 }
 
 impl DatasetInputFormat {
@@ -134,7 +133,6 @@ impl DatasetInputFormat {
             dataset,
             mode,
             rows: false,
-            cache: Mutex::new(HashMap::new()),
         }
     }
 
@@ -154,41 +152,25 @@ impl DatasetInputFormat {
     pub fn dataset(&self) -> &Arc<Dataset> {
         &self.dataset
     }
-
-    fn cached_batch(
-        &self,
-        block: BlockId,
-        version: u32,
-        generate: impl Fn() -> RecordBatch,
-    ) -> Arc<RecordBatch> {
-        let key = (block, version);
-        if let Some(hit) = self.cache.lock().expect("batch cache").get(&key) {
-            return Arc::clone(hit);
-        }
-        // Generate outside the lock: concurrent workers may race to build
-        // the same block, but generation is pure, so the loser's copy is
-        // identical and simply dropped.
-        let built = Arc::new(generate());
-        let mut cache = self.cache.lock().expect("batch cache");
-        Arc::clone(cache.entry(key).or_insert(built))
-    }
 }
 
 impl InputFormat for DatasetInputFormat {
     fn read(&self, block: BlockId) -> SplitData {
         let plan = self.dataset.plan(block);
+        if !self.rows {
+            return match self.mode {
+                ScanMode::Full => SplitData::Batch(self.dataset.full_batch(block)),
+                ScanMode::Planted => SplitData::PlantedBatch {
+                    total_records: plan.spec.records,
+                    matches: self.dataset.planted_batch(block),
+                },
+            };
+        }
         let factory = self.dataset.factory();
         let generator = SplitGenerator::new(&factory, plan.spec);
-        match (self.mode, self.rows) {
-            (ScanMode::Full, false) => {
-                SplitData::Batch(self.cached_batch(block, plan.version, || generator.full_batch()))
-            }
-            (ScanMode::Planted, false) => SplitData::PlantedBatch {
-                total_records: plan.spec.records,
-                matches: self.cached_batch(block, plan.version, || generator.planted_batch()),
-            },
-            (ScanMode::Full, true) => SplitData::Records(generator.full_iter().collect()),
-            (ScanMode::Planted, true) => SplitData::Planted {
+        match self.mode {
+            ScanMode::Full => SplitData::Records(generator.full_iter().collect()),
+            ScanMode::Planted => SplitData::Planted {
                 total_records: plan.spec.records,
                 matches: generator.planted_matches(),
             },
@@ -355,6 +337,7 @@ impl Reducer for IdentityReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use incmr_data::generator::RecordFactory;
     use incmr_data::{DatasetSpec, SkewLevel, Value};
     use incmr_dfs::{ClusterTopology, EvenRoundRobin, Namespace};
     use incmr_simkit::rng::DetRng;
@@ -373,7 +356,6 @@ mod tests {
         let pred = ds.factory();
         let full = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Full);
         let planted = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Planted);
-        use incmr_data::generator::RecordFactory;
         let p = pred.predicate();
         for plan in ds.splits() {
             let SplitData::Records(all) = full.read(plan.block).into_rows() else {
@@ -428,18 +410,88 @@ mod tests {
         }
     }
 
+    fn full_batch(input: &DatasetInputFormat, block: BlockId) -> Arc<RecordBatch> {
+        let SplitData::Batch(batch) = input.read(block) else {
+            panic!("full batch mode hands out a columnar split")
+        };
+        batch
+    }
+
+    fn planted_batch(input: &DatasetInputFormat, block: BlockId) -> Arc<RecordBatch> {
+        let SplitData::PlantedBatch { matches, .. } = input.read(block) else {
+            panic!("planted batch mode hands out a columnar split")
+        };
+        matches
+    }
+
     #[test]
-    fn batch_reads_share_one_generation() {
+    fn jobs_over_one_dataset_share_one_generation() {
         let (_, ds) = small_dataset();
-        let input = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Full);
         let block = ds.splits()[0].block;
-        let SplitData::Batch(a) = input.read(block) else {
+        for mode in [ScanMode::Full, ScanMode::Planted] {
+            let read = match mode {
+                ScanMode::Full => full_batch,
+                ScanMode::Planted => planted_batch,
+            };
+            // One input format per job, as every job builder makes.
+            let first_job = DatasetInputFormat::new(Arc::clone(&ds), mode);
+            let second_job = DatasetInputFormat::new(Arc::clone(&ds), mode);
+            let a = read(&first_job, block);
+            assert!(Arc::ptr_eq(&a, &read(&first_job, block)), "{mode:?}");
+            assert!(Arc::ptr_eq(&a, &read(&second_job, block)), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn mutate_evicts_the_old_version_and_serves_the_new_one() {
+        let (mut ns, ds) = small_dataset();
+        let block = ds.splits()[0].block;
+        let input = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Full);
+        let reference = DatasetInputFormat::row_reference(Arc::clone(&ds), ScanMode::Full);
+        let old = full_batch(&input, block);
+        let old_rows = old.to_records();
+
+        let mut rng = DetRng::seed_from(12);
+        ds.mutate(&mut ns, &[block], &mut EvenRoundRobin::new(), &mut rng);
+        assert_eq!(
+            Arc::strong_count(&old),
+            1,
+            "the cache keeps no handle on the rewritten version"
+        );
+
+        let new = full_batch(&input, block);
+        let SplitData::Records(expect) = reference.read(block) else {
             panic!()
         };
-        let SplitData::Batch(b) = input.read(block) else {
-            panic!()
-        };
-        assert!(Arc::ptr_eq(&a, &b), "second read is a cache hit");
+        assert_eq!(
+            new.to_records(),
+            expect,
+            "served rows are the new version's"
+        );
+        assert_ne!(new.to_records(), old_rows, "a rewrite draws new rows");
+        assert!(
+            Arc::ptr_eq(&new, &full_batch(&input, block)),
+            "new version is cached"
+        );
+        assert_eq!(Arc::strong_count(&old), 1);
+    }
+
+    #[test]
+    fn full_and_planted_reads_of_one_block_never_collide() {
+        let (_, ds) = small_dataset();
+        let full = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Full);
+        let planted = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Planted);
+        for plan in ds.splits() {
+            // Interleave the kinds, each read twice, so a shared cache slot
+            // would hand one kind the other's batch.
+            for _ in 0..2 {
+                let all = full_batch(&full, plan.block);
+                let matches = planted_batch(&planted, plan.block);
+                assert!(!Arc::ptr_eq(&all, &matches));
+                assert_eq!(all.len() as u64, plan.spec.records);
+                assert_eq!(matches.len() as u64, plan.spec.matching);
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   re-execution semantics, deterministically (see DESIGN.md §8);
 //! * a **columnar data plane** (DESIGN.md §12): `ScanMode::Full`/
 //!   `Planted` splits arrive as shared `Arc<RecordBatch>`es
-//!   ([`exec::SplitData`]), mappers may emit [`exec::KeyedBatch`]
+//!   ([`exec::SplitData`]), generated once per block version by the
+//!   dataset's batch cache and shared by every job, mappers may emit [`exec::KeyedBatch`]
 //!   selection-vector handles instead of pairs, and the shuffle carries
 //!   them unmaterialised ([`shuffle::ValueSeq`]) until the reduce
 //!   boundary; a hidden row-at-a-time reference oracle

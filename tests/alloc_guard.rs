@@ -5,7 +5,9 @@
 //! storm. This test pins that property with a counting global allocator:
 //! if someone reintroduces per-record `Record` construction (or per-value
 //! string interning) into the batch path, the count jumps by four orders
-//! of magnitude and the guard trips.
+//! of magnitude and the guard trips. The same holds across jobs: every job
+//! builds its own input format, and the dataset's batch cache must serve
+//! it without regenerating the block.
 //!
 //! The file holds exactly one `#[test]` so no concurrent test can perturb
 //! the counter.
@@ -80,6 +82,13 @@ fn batched_scan_reads_allocate_orders_of_magnitude_less_than_row_reads() {
             std::hint::black_box(mapper.run(batch_input.read(block)));
         }
     });
+    // One fresh input format per read, as every job builds its own.
+    let per_job_allocs = allocations_during(|| {
+        for _ in 0..ITERS {
+            let job_input = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Full);
+            std::hint::black_box(mapper.run(job_input.read(block)));
+        }
+    });
     let row_allocs = allocations_during(|| {
         for _ in 0..ITERS {
             std::hint::black_box(mapper.run(row_input.read(block)));
@@ -94,6 +103,22 @@ fn batched_scan_reads_allocate_orders_of_magnitude_less_than_row_reads() {
         "batched scan allocated {batch_allocs} times in {ITERS} reads \
          (expected ≤ {} — per-record work crept back into the hot path?)",
         100 * ITERS
+    );
+    assert!(
+        per_job_allocs <= 100 * ITERS,
+        "per-job scan allocated {per_job_allocs} times in {ITERS} jobs \
+         (expected ≤ {} — per-record work crept back into the hot path?)",
+        100 * ITERS
+    );
+    // Columnar generation itself allocates only a few dozen times (one
+    // vector per column plus the string dictionaries), so the absolute
+    // bound above cannot tell a regenerated block from a cached one. A new
+    // job's read must cost what a repeated read in one job costs.
+    assert!(
+        per_job_allocs <= batch_allocs + ITERS,
+        "a fresh job's read allocated {per_job_allocs} times in {ITERS} jobs \
+         vs {batch_allocs} for repeated reads in one job — is each job \
+         regenerating the block?"
     );
     assert!(
         row_allocs >= RECORDS * ITERS,
