@@ -14,8 +14,9 @@
 //! `Arc<RecordBatch>`: a map task's "split data" is a reference-count bump,
 //! and its *output* is a [`BatchSelection`] — the same `Arc` plus a
 //! [`SelectionVector`] of surviving row indices (and an optional
-//! projection). Nothing is copied until the reduce/result boundary
-//! materialises selected rows back into [`Record`]s.
+//! projection). Nothing is copied at the reduce/result boundary either:
+//! a selected row becomes a [`Record`] *view* of its batch row, and its
+//! values are materialised only when a field is read.
 //!
 //! The row-oriented [`Record`]/[`Value`] model stays as the boundary
 //! format (reducer inputs, job results, exotic mappers) and as the
@@ -376,9 +377,15 @@ impl BatchSelection {
         self.sel.truncate(n);
     }
 
-    /// Materialise the `i`-th selected row (applying the projection).
+    /// The `i`-th selected row (applying the projection) as a [`Record`]
+    /// view: an `Arc` bump on the batch and projection, with the values
+    /// materialised only when first read.
     pub fn record(&self, i: usize) -> Record {
-        self.batch.record(self.sel[i] as usize, &self.projection)
+        Record::view(
+            Arc::clone(&self.batch),
+            self.sel[i] as usize,
+            Arc::clone(&self.projection),
+        )
     }
 
     /// Serialized width of the `i`-th selected row, without materialising.
@@ -394,7 +401,7 @@ impl BatchSelection {
             .sum()
     }
 
-    /// Materialising iterator over selected rows, in selection order.
+    /// Iterator over selected rows as [`Record`] views, in selection order.
     pub fn iter_records(&self) -> impl Iterator<Item = Record> + '_ {
         (0..self.len()).map(|i| self.record(i))
     }

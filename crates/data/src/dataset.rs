@@ -480,6 +480,8 @@ pub fn table2(scales: &[u32]) -> Vec<Table2Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchSelection;
+    use crate::value::Record;
     use incmr_dfs::{ClusterTopology, EvenRoundRobin};
 
     fn build(skew: SkewLevel, seed: u64) -> (Namespace, Dataset) {
@@ -623,6 +625,25 @@ mod tests {
         let fresh = ds.planted_batch(block);
         assert_ne!(fresh.to_records(), stale.to_records());
         assert!(Arc::ptr_eq(&fresh, &ds.planted_batch(block)));
+    }
+
+    #[test]
+    fn a_row_read_before_a_rewrite_keeps_its_version() {
+        let (mut ns, ds) = build(SkewLevel::Zero, 14);
+        let block = ds.splits()[0].block;
+        let old = ds.planted_batch(block);
+        let rows: Vec<Record> = BatchSelection::all(Arc::clone(&old))
+            .iter_records()
+            .collect();
+        // Eager copies, leaving the views' values unread until after the
+        // rewrite.
+        let expect = old.to_records();
+        drop(old);
+        let mut rng = DetRng::seed_from(14);
+        ds.mutate(&mut ns, &[block], &mut EvenRoundRobin::new(), &mut rng);
+        let fresh = ds.planted_batch(block).to_records();
+        assert_ne!(fresh, expect, "the rewrite draws new rows");
+        assert_eq!(rows, expect, "a view is a snapshot of its version");
     }
 
     #[test]

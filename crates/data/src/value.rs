@@ -3,10 +3,15 @@
 //! A [`Record`] is a positional tuple of [`Value`]s; column names and types
 //! live in the companion [`crate::schema::Schema`]. Values are kept simple —
 //! the four types LINEITEM needs — with total ordering within a type so
-//! predicates can use range comparisons.
+//! predicates can use range comparisons. A record read from a columnar
+//! batch is a shared view of its row, materialised only when a value is
+//! read (see [`Record`]).
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+use crate::batch::RecordBatch;
 
 /// A single column value.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,15 +80,56 @@ impl fmt::Display for Value {
 }
 
 /// A row: positional values matching some schema.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Record {
-    values: Vec<Value>,
+///
+/// A record has two private representations with one behaviour:
+///
+/// * **owned** — a `Vec<Value>`, what [`Record::new`] builds;
+/// * **view** — a shared handle on one (optionally projected) row of an
+///   immutable [`RecordBatch`], what [`BatchSelection::record`] returns.
+///   Cloning or dropping a view is a reference-count operation;
+///   [`Record::arity`] and [`Record::width`] read the batch directly, and
+///   the first [`Record::get`]/[`Record::values`] call materialises the
+///   row once (through [`RecordBatch::record`]) into a per-view cache.
+///
+/// Equality, `Debug` and `Display` see only the values, so the two
+/// representations of the same row are indistinguishable. A view keeps
+/// its batch alive: it is a snapshot of the dataset version it was read
+/// from, whatever later rewrites do to the block.
+///
+/// [`BatchSelection::record`]: crate::batch::BatchSelection::record
+#[derive(Clone)]
+pub struct Record(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Owned(Vec<Value>),
+    View(Arc<RowView>),
+}
+
+/// One row of a shared batch, materialised on first read.
+struct RowView {
+    batch: Arc<RecordBatch>,
+    row: usize,
+    projection: Arc<[usize]>,
+    values: OnceLock<Vec<Value>>,
 }
 
 impl Record {
     /// Build a record from values.
     pub fn new(values: Vec<Value>) -> Self {
-        Record { values }
+        Record(Repr::Owned(values))
+    }
+
+    /// A view of `row` of `batch`, projected to `projection` (empty = all
+    /// columns). Nothing is materialised until a value is read.
+    pub(crate) fn view(batch: Arc<RecordBatch>, row: usize, projection: Arc<[usize]>) -> Self {
+        debug_assert!(row < batch.len());
+        Record(Repr::View(Arc::new(RowView {
+            batch,
+            row,
+            projection,
+            values: OnceLock::new(),
+        })))
     }
 
     /// Value of column `idx`.
@@ -92,34 +138,74 @@ impl Record {
     /// Panics if the index is out of range — records are always produced to
     /// match their schema, so this indicates a compiler/generator bug.
     pub fn get(&self, idx: usize) -> &Value {
-        &self.values[idx]
+        &self.values()[idx]
     }
 
     /// All values in column order.
     pub fn values(&self) -> &[Value] {
-        &self.values
+        match &self.0 {
+            Repr::Owned(values) => values,
+            Repr::View(view) => view
+                .values
+                .get_or_init(|| view.batch.record(view.row, &view.projection).into_values()),
+        }
+    }
+
+    /// The values, by move when owned.
+    fn into_values(self) -> Vec<Value> {
+        match self.0 {
+            Repr::Owned(values) => values,
+            Repr::View(_) => self.values().to_vec(),
+        }
     }
 
     /// Number of columns.
     pub fn arity(&self) -> usize {
-        self.values.len()
+        match &self.0 {
+            Repr::Owned(values) => values.len(),
+            Repr::View(view) if view.projection.is_empty() => view.batch.arity(),
+            Repr::View(view) => view.projection.len(),
+        }
     }
 
     /// Project the record down to the given column indices (in that order).
     pub fn project(&self, columns: &[usize]) -> Record {
-        Record::new(columns.iter().map(|&c| self.values[c].clone()).collect())
+        Record::new(columns.iter().map(|&c| self.get(c).clone()).collect())
     }
 
     /// Approximate serialized width in bytes.
     pub fn width(&self) -> u64 {
-        self.values.iter().map(Value::width).sum()
+        match &self.0 {
+            Repr::Owned(values) => values.iter().map(Value::width).sum(),
+            Repr::View(view) => view.batch.row_width(view.row, &view.projection),
+        }
+    }
+}
+
+impl Default for Record {
+    fn default() -> Self {
+        Record::new(Vec::new())
+    }
+}
+
+impl PartialEq for Record {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl fmt::Debug for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Record")
+            .field("values", &self.values())
+            .finish()
     }
 }
 
 impl fmt::Display for Record {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, v) in self.values.iter().enumerate() {
+        for (i, v) in self.values().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -185,6 +271,19 @@ mod tests {
             Value::Date(3),
         ]);
         assert_eq!(r.width(), 8 + 4 + 4);
+    }
+
+    #[test]
+    fn a_record_is_three_words_and_shareable_across_threads() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Record>();
+        assert_eq!(std::mem::size_of::<Record>(), 24);
+    }
+
+    #[test]
+    fn debug_keeps_the_derived_form() {
+        let r = Record::new(vec![Value::Int(1), Value::Str("a".into())]);
+        assert_eq!(format!("{r:?}"), r#"Record { values: [Int(1), Str("a")] }"#);
     }
 
     #[test]

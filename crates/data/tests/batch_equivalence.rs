@@ -10,10 +10,15 @@
 //!    `SplitGenerator::full_batch` / `planted_batch` materialise
 //!    byte-for-byte the records `full_iter` / `planted_matches` produce,
 //!    i.e. the columnar generator consumes the RNG streams identically.
+//! 3. **View equivalence** — a [`Record`] read from a batch selection (a
+//!    shared row view) is indistinguishable from the eager
+//!    `RecordBatch::record` of the same row and projection.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use incmr_data::batch::RecordBatch;
+use incmr_data::batch::{BatchSelection, RecordBatch};
 use incmr_data::generator::{RecordFactory, SplitGenerator, SplitSpec};
 use incmr_data::lineitem::{col, LineItemFactory};
 use incmr_data::predicate::{CmpOp, Predicate};
@@ -188,6 +193,69 @@ proptest! {
         let sel = factory.predicate().eval_batch(&g.full_batch());
         let expect: Vec<u32> = g.matching_positions().iter().map(|&p| p as u32).collect();
         prop_assert_eq!(sel, expect);
+    }
+}
+
+/// Bit patterns of a record's values, so NaN rows compare equal to
+/// themselves.
+fn value_bits(r: &Record) -> Vec<(u8, u64, String)> {
+    r.values()
+        .iter()
+        .map(|v| match v {
+            Value::Int(i) => (0, *i as u64, String::new()),
+            Value::Float(f) => (1, f.to_bits(), String::new()),
+            Value::Date(d) => (2, *d as u64, String::new()),
+            Value::Str(s) => (3, 0, s.clone()),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A row view answers every `Record` question exactly as the eager
+    /// record of the same row does — before and after its values are
+    /// materialised, and whichever side of `==` it is on.
+    #[test]
+    fn record_views_equal_eager_records(
+        rows in proptest::collection::vec(arb_row(), 1..40),
+        keep in proptest::collection::vec(any::<bool>(), 40),
+        projection in proptest::collection::vec(0usize..4, 0..6),
+        subset in proptest::collection::vec(0usize..6, 0..4),
+    ) {
+        let (batch, _) = to_batch(&rows);
+        let batch = Arc::new(batch);
+        let sel: Vec<u32> = (0..batch.len() as u32).filter(|&r| keep[r as usize]).collect();
+        let selection = BatchSelection::new(Arc::clone(&batch), sel.clone(), Arc::from(projection.clone()));
+        let views: Vec<Record> = selection.iter_records().collect();
+        prop_assert_eq!(views.len(), sel.len());
+        let eager: Vec<Record> = sel.iter().map(|&r| batch.record(r as usize, &projection)).collect();
+        // Answered from the batch, before any value is read.
+        for (view, row) in views.iter().zip(&eager) {
+            prop_assert_eq!(view.arity(), row.arity());
+            prop_assert_eq!(view.width(), row.width());
+        }
+        for (i, (view, row)) in views.iter().zip(&eager).enumerate() {
+            let copy = view.clone();
+            prop_assert_eq!(value_bits(view), value_bits(row));
+            prop_assert_eq!(value_bits(&copy), value_bits(row));
+            for c in 0..row.arity() {
+                prop_assert_eq!(format!("{:?}", view.get(c)), format!("{:?}", row.get(c)));
+            }
+            let cols: Vec<usize> = subset.iter().filter(|&&c| c < row.arity()).copied().collect();
+            prop_assert_eq!(format!("{:?}", view.project(&cols)), format!("{:?}", row.project(&cols)));
+            prop_assert_eq!(view.to_string(), row.to_string());
+            prop_assert_eq!(format!("{view:?}"), format!("{row:?}"));
+            prop_assert_eq!(format!("{view:#?}"), format!("{row:#?}"));
+            // `==` follows the values, NaN included, in both directions.
+            let reflexive = row == &row.clone();
+            prop_assert_eq!(view == row, reflexive);
+            prop_assert_eq!(row == view, reflexive);
+            prop_assert_eq!(view == view, reflexive);
+            let j = (i + 1) % views.len();
+            prop_assert_eq!(view == &views[j], row == &eager[j]);
+            prop_assert_eq!(&views[j] == view, &eager[j] == row);
+        }
     }
 }
 

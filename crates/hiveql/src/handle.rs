@@ -64,7 +64,9 @@ impl QueryHandle {
     }
 
     /// Drive the runtime until this job completes and collect its
-    /// result (the awaiting shape of the API).
+    /// result (the awaiting shape of the API). The runtime then releases
+    /// the job's output: the rows live on in the returned result only, so
+    /// a later [`try_result`](QueryHandle::try_result) sees none.
     pub fn wait(self, session: &mut Session) -> QueryResult {
         session.drive_to_completion(&self)
     }

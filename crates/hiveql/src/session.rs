@@ -427,12 +427,17 @@ impl Session {
         self.runtime.is_complete(job)
     }
 
-    /// Drive the runtime until `job` completes, then collect its result.
+    /// Drive the runtime until `job` completes, collect its result, then
+    /// release the job's bulky state (output, task table, shuffle) so a
+    /// long session holds only its live jobs — and no finished job's
+    /// output keeps an evicted batch version alive.
     pub(crate) fn drive_to_completion(&mut self, handle: &QueryHandle) -> crate::QueryResult {
         while !self.runtime.is_complete(handle.job()) {
             assert!(self.runtime.step(), "runtime drained before job completion");
         }
-        collect_result(&self.runtime, handle.job(), handle.requested_k())
+        let result = collect_result(&self.runtime, handle.job(), handle.requested_k());
+        self.runtime.release_job_result(handle.job());
+        result
     }
 
     /// Execute one statement to completion (blocking shim over
@@ -461,11 +466,16 @@ mod tests {
 
     use incmr_core::SampleOutcome;
     use incmr_data::{Dataset, DatasetSpec, SkewLevel};
-    use incmr_dfs::{ClusterTopology, EvenRoundRobin, Namespace};
+    use incmr_dfs::{BlockId, ClusterTopology, EvenRoundRobin, Namespace};
     use incmr_mapreduce::{ClusterConfig, CostModel, FifoScheduler};
     use incmr_simkit::rng::DetRng;
 
     fn session_with(skew: SkewLevel, full_scan: bool) -> Session {
+        session_over(skew, full_scan).0
+    }
+
+    /// A session plus a handle on its one table's dataset.
+    fn session_over(skew: SkewLevel, full_scan: bool) -> (Session, Arc<Dataset>) {
         let mut ns = Namespace::new(ClusterTopology::paper_cluster());
         let mut rng = DetRng::seed_from(9);
         let ds = Arc::new(Dataset::build(
@@ -480,11 +490,13 @@ mod tests {
             ns,
             Box::new(FifoScheduler::new()),
         );
-        let mut b = Session::builder().runtime(rt).table("lineitem", ds);
+        let mut b = Session::builder()
+            .runtime(rt)
+            .table("lineitem", Arc::clone(&ds));
         if full_scan {
             b = b.scan_mode(ScanMode::Full);
         }
-        b.try_build().unwrap()
+        (b.try_build().unwrap(), ds)
     }
 
     fn session(skew: SkewLevel) -> Session {
@@ -558,6 +570,61 @@ mod tests {
         assert_eq!(requested, 1000);
         assert_eq!(found, result.rows.len() as u64);
         assert!(found < requested);
+    }
+
+    const SAMPLE_SQL: &str =
+        "SELECT L_ORDERKEY, L_PARTKEY, L_SUPPKEY FROM LINEITEM WHERE L_TAX = 0.77 LIMIT 10";
+
+    fn rows_of(out: QueryOutput) -> (JobId, Vec<Record>) {
+        let QueryOutput::Rows { job, rows, .. } = out else {
+            panic!("expected rows")
+        };
+        (job, rows)
+    }
+
+    #[test]
+    fn execute_releases_each_finished_job_and_keeps_its_rows() {
+        let mut s = session(SkewLevel::High);
+        // An identical session driven without the releasing `wait`.
+        let mut witness = session(SkewLevel::High);
+        let mut jobs = Vec::new();
+        for _ in 0..3 {
+            let (job, rows) = rows_of(s.execute(SAMPLE_SQL).unwrap());
+            let Submitted::Pending(handle) = witness.submit(SAMPLE_SQL).unwrap() else {
+                panic!("SELECT must be pending")
+            };
+            while !handle.poll(&witness) {
+                assert!(witness.runtime_mut().step());
+            }
+            let kept = handle.try_result(&witness).unwrap();
+            assert_eq!(kept.rows.len(), 10);
+            assert_eq!(rows, kept.rows, "the returned rows outlive the release");
+            assert_eq!(
+                witness.runtime().job_result(handle.job()).output.len(),
+                10,
+                "try_result leaves the output in place"
+            );
+            jobs.push(job);
+        }
+        for job in jobs {
+            assert!(s.runtime().job_result(job).output.is_empty(), "{job:?}");
+        }
+    }
+
+    #[test]
+    fn rows_returned_before_a_rewrite_keep_their_version() {
+        let (mut s, ds) = session_over(SkewLevel::High, false);
+        let mut witness = session(SkewLevel::High);
+        // Nothing reads these rows' values until after the rewrite.
+        let (_, rows) = rows_of(s.execute(SAMPLE_SQL).unwrap());
+        let blocks: Vec<BlockId> = ds.splits().iter().map(|p| p.block).collect();
+        let mut rng = DetRng::seed_from(5);
+        s.runtime_mut()
+            .evolve(|ns| ds.mutate(ns, &blocks, &mut EvenRoundRobin::new(), &mut rng));
+        let (_, before) = rows_of(witness.execute(SAMPLE_SQL).unwrap());
+        assert_eq!(rows, before, "rows show the version they were read from");
+        let (_, after) = rows_of(s.execute(SAMPLE_SQL).unwrap());
+        assert_ne!(after, rows, "a new query sees the rewrite");
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!   ([`exec::SplitData`]), generated once per block version by the
 //!   dataset's batch cache and shared by every job, mappers may emit [`exec::KeyedBatch`]
 //!   selection-vector handles instead of pairs, and the shuffle carries
-//!   them unmaterialised ([`shuffle::ValueSeq`]) until the reduce
-//!   boundary; a hidden row-at-a-time reference oracle
+//!   them unmaterialised ([`shuffle::ValueSeq`]) to the reduce
+//!   boundary, where they become record views of their batch; a hidden row-at-a-time reference oracle
 //!   (`DatasetInputFormat::row_reference`) pins batch ≡ rows in tests;
 //! * the **replication plane** (DESIGN.md §14): opt-in DataNode-death
 //!   semantics ([`runtime::MrRuntime::enable_data_loss`]) over rack-aware

@@ -190,8 +190,8 @@ pub struct ReduceUnit {
     /// Distinct keys in first-seen order.
     pub key_order: Vec<Key>,
     /// Values per key, in arrival order. Batch segments stay zero-copy
-    /// until this unit materialises them — the reduce boundary is where
-    /// rows come back into existence.
+    /// until this unit hands them to the reducer as record views — the
+    /// reduce boundary is where rows come back into existence.
     pub groups: HashMap<Key, ValueSeq>,
 }
 

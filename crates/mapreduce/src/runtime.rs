@@ -1098,8 +1098,13 @@ impl MrRuntime {
 
     /// Release a completed job's bulky state (result output records, task
     /// tables, reduce buffers), keeping only the scalar accounting in its
-    /// [`JobResult`]. Long-running closed-loop drivers call this after
-    /// reading a result so memory stays bounded by *active* jobs.
+    /// [`JobResult`]. Everything that drives jobs to completion on a
+    /// caller's behalf — the closed-loop workload runner, the query
+    /// service, and a HiveQL session's blocking `wait`/`execute` — calls
+    /// this after reading a result, so memory stays bounded by *active*
+    /// jobs. Result rows read from batches are views that keep their
+    /// batch version alive, so a retained output would also pin blocks
+    /// that a dataset rewrite has already evicted.
     ///
     /// # Panics
     /// Panics if the job has not completed.

@@ -180,7 +180,7 @@ impl PartitionedPairs {
 
 /// One shuffle segment of a key group: either materialised rows or a
 /// zero-copy batch selection. Segments keep arrival order; the batch kind
-/// is only materialised at the reduce boundary.
+/// becomes record views at the reduce boundary.
 #[derive(Debug, Clone)]
 enum ValueSeg {
     /// Individually materialised records (the classic pair path).
@@ -191,10 +191,10 @@ enum ValueSeg {
 
 /// One key group's values: an ordered run of segments totalling `len`
 /// records. Grows row-by-row from classic pairs and run-at-a-time from
-/// [`KeyedBatch`]es; [`ValueSeq::to_rows`] materialises at the reduce
-/// boundary. Equality (used by the shuffle equivalence proptests) compares
-/// the materialised record streams, so a batch segment equals the rows it
-/// would produce.
+/// [`KeyedBatch`]es; [`ValueSeq::to_rows`] hands them to the reducer as
+/// records at the reduce boundary. Equality (used by the shuffle
+/// equivalence proptests) compares the record streams, so a batch segment
+/// equals the rows it would produce.
 #[derive(Debug, Clone, Default)]
 pub struct ValueSeq {
     segs: Vec<ValueSeg>,
@@ -228,8 +228,10 @@ impl ValueSeq {
         self.len == 0
     }
 
-    /// Materialise every record, in arrival order — the row boundary where
-    /// the reduce phase leaves columnar-land.
+    /// Every record, in arrival order — the row boundary where the reduce
+    /// phase leaves columnar-land. Batch rows come back as [`Record`]
+    /// views of their batch (reference-count bumps, materialised only when
+    /// a reducer reads a field); row segments are cloned.
     pub fn to_rows(&self) -> Vec<Record> {
         let mut out = Vec::with_capacity(self.len);
         for seg in &self.segs {

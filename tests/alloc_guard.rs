@@ -7,7 +7,11 @@
 //! string interning) into the batch path, the count jumps by four orders
 //! of magnitude and the guard trips. The same holds across jobs: every job
 //! builds its own input format, and the dataset's batch cache must serve
-//! it without regenerating the block.
+//! it without regenerating the block. And the reduce side: a sampling
+//! group's rows reach the reducer as views of their batch, so handing
+//! 10 000 rows to `SamplingReducer` and dropping its output costs one
+//! small allocation per row — not a `Vec` plus a `String` per string
+//! column, twice over.
 //!
 //! The file holds exactly one `#[test]` so no concurrent test can perturb
 //! the counter.
@@ -16,8 +20,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use incmr::data::{Dataset, DatasetSpec, RecordFactory, SkewLevel};
-use incmr::mapreduce::{DatasetInputFormat, InputFormat, Mapper, ScanMode};
+use incmr::core::{SampleMode, SamplingReducer, DUMMY_KEY};
+use incmr::data::{BatchSelection, Dataset, DatasetSpec, RecordFactory, SkewLevel};
+use incmr::mapreduce::{DatasetInputFormat, InputFormat, Key, Mapper, Reducer, ScanMode, ValueSeq};
 use incmr::prelude::*;
 
 struct CountingAllocator;
@@ -129,5 +134,39 @@ fn batched_scan_reads_allocate_orders_of_magnitude_less_than_row_reads() {
         batch_allocs * 50 <= row_allocs,
         "batched scan ({batch_allocs}) is not meaningfully cheaper than \
          row scan ({row_allocs})"
+    );
+
+    // The reduce side of one sampling group: ROWS batch rows arrive as one
+    // shuffle segment, become records at `to_rows`, pass through
+    // `SamplingReducer` (k = ROWS, so every row is kept) and are dropped
+    // unread, as the closed-loop workload does with its results.
+    const ROWS: usize = 10_000;
+    let mut rows = BatchSelection::all(ds.full_batch(block));
+    rows.truncate(ROWS);
+    let mut group = ValueSeq::default();
+    group.push_batch(rows);
+    let key = Key::from(DUMMY_KEY);
+    let reducer = SamplingReducer::new(ROWS as u64, SampleMode::FirstK);
+    let reduce_group = || {
+        let values = group.to_rows();
+        let mut output = Vec::new();
+        reducer.reduce(&key, &values, &mut output);
+        assert_eq!(output.len(), ROWS);
+        drop(std::hint::black_box(output));
+    };
+    reduce_group();
+    let per_group = allocations_during(|| {
+        for _ in 0..ITERS {
+            reduce_group();
+        }
+    }) / ITERS;
+    // One shared row handle per row plus the two output vectors. Eagerly
+    // materialised rows cost a `Vec` and a `String` per string column
+    // each, in `to_rows` and again in the reducer's clone.
+    assert!(
+        per_group <= ROWS as u64 + 16,
+        "reducing one {ROWS}-row sampling group allocated {per_group} times \
+         (expected ≤ {} — are reduce-side rows materialised or deep-cloned?)",
+        ROWS as u64 + 16
     );
 }
